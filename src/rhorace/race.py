@@ -2,9 +2,11 @@
 
 Different c values give independent pseudo-random orbits, so their collision
 times are independent draws; racing k of them and keeping the first factor
-collects the minimum.  Workers are OS processes (CPython threads cannot run
-big-int arithmetic in parallel); the winner's factor cancels the rest via a
-shared event that each attempt polls once per gcd batch.
+collects the minimum.  Worker 0 runs in the calling process and workers
+1..k-1 are forked OS processes (CPython threads cannot run big-int
+arithmetic in parallel), so a k-worker round forks k-1 children.  The worker
+that finds a factor sets a shared event that every attempt polls once per
+gcd batch, which cancels the rest, the caller's own attempt included.
 
 A race with workers=1 runs inline in the calling process and is byte-for-byte
 a direct rho_attempt call, which keeps single-worker runs reproducible.
@@ -17,6 +19,7 @@ import os
 import random
 import time
 from dataclasses import dataclass, field
+from multiprocessing.connection import wait
 
 from . import rho
 from .rho import RhoOutcome, RhoParams
@@ -124,50 +127,77 @@ def _worker_main(idx, n, params, detector, cancel, queue):
     attempt = DETECTORS[detector]
     try:
         out = attempt(n, params, cancel)
-        queue.put((idx, out.kind, out.iterations, out.factor, None))
     except Exception as exc:  # report instead of hanging the coordinator
         queue.put((idx, "error", 0, None, repr(exc)))
+        return
+    if out.found:
+        cancel.set()
+    queue.put((idx, out.kind, out.iterations, out.factor, None))
 
 
 def _run_round(n, params_list, detector):
-    """Run one round across processes.
+    """Run one round: workers 1..k-1 in forked children, worker 0 here.
 
     Returns (outcomes by worker index, index of the first worker whose
-    factor reached the queue, or None).  The first factor message sets the
-    cancel event; everyone is joined before returning, so no worker
-    computation survives this call.
+    factor reached the queue, or None).  The worker that finds a factor
+    sets the cancel event, so the others, the caller's own attempt
+    included, stop at their next batch boundary.  A child that exits
+    without reporting fails the round with RuntimeError.  On every way out,
+    errors and KeyboardInterrupt included, children still alive are
+    terminated and all are joined, so no worker computation survives this
+    call.
     """
     cancel = _FORK.Event()
     queue = _FORK.SimpleQueue()
-    procs = [
-        _FORK.Process(
+    reader = queue._reader  # waitable alongside the process sentinels
+    procs = {
+        i: _FORK.Process(
             target=_worker_main,
             args=(i, n, params, detector, cancel, queue),
             daemon=True,
         )
         for i, params in enumerate(params_list)
-    ]
-    for p in procs:
-        p.start()
-    results: dict[int, RhoOutcome] = {}
-    errors: list[tuple[int, str]] = []
-    winner = None
-    while len(results) < len(procs):
-        idx, kind, iters, factor, err = queue.get()
-        if err is not None:
-            errors.append((idx, err))
-            results[idx] = RhoOutcome(kind, iters)
-            continue
-        results[idx] = RhoOutcome(kind, iters, factor)
-        if kind == rho.FACTOR and winner is None:
-            winner = idx
-            cancel.set()
-    for p in procs:
-        p.join()
-    queue.close()
-    if errors:
-        raise RuntimeError(f"race worker(s) failed: {errors}")
-    return [results[i] for i in range(len(procs))], winner
+        if i > 0
+    }
+    try:
+        for p in procs.values():
+            p.start()
+        _worker_main(0, n, params_list[0], detector, cancel, queue)
+        results: dict[int, RhoOutcome] = {}
+        errors: list[tuple[int, str]] = []
+        winner = None
+        running = {p.sentinel: i for i, p in procs.items()}
+        while len(results) < len(params_list):
+            ready = wait([reader, *running])
+            # A child writes its report before it exits, so a child that
+            # has exited while the reader holds nothing more is lost.
+            if reader.poll():
+                idx, kind, iters, factor, err = queue.get()
+                results[idx] = RhoOutcome(kind, iters, factor)
+                if err is not None:
+                    errors.append((idx, err))
+                elif kind == rho.FACTOR and winner is None:
+                    winner = idx
+                continue
+            for sentinel in ready:
+                idx = running.pop(sentinel)
+                if idx not in results:
+                    procs[idx].join()
+                    raise RuntimeError(
+                        f"race worker {idx} exited with code "
+                        f"{procs[idx].exitcode} without reporting"
+                    )
+        if errors:
+            raise RuntimeError(f"race worker(s) failed: {errors}")
+        return [results[i] for i in range(len(params_list))], winner
+    finally:
+        for p in procs.values():
+            if p.is_alive():
+                p.terminate()
+        for p in procs.values():
+            if p.pid is not None:
+                p.join()
+        queue.close()
 
 
 def race_factor(n: int, config: RaceConfig | None = None) -> RaceOutcome:

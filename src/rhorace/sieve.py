@@ -3,22 +3,43 @@
 The sieve is a machine-range tool: it feeds the pre-pass that strips easy
 factors before any rho work starts, so the racers only ever see inputs with
 no small prime divisors.
+
+The pre-pass does not try every prime on its own.  A PrimeTable keeps the
+product of each block of BLOCK_SIZE consecutive primes, and trial_divide
+takes one gcd of the cofactor against each block's product; only a block
+whose gcd is not 1 is scanned prime by prime.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import itertools
+import math
+from dataclasses import dataclass, field
 
 DEFAULT_LIMIT = 10**6
 MEMORY_CAP = 10**8  # one flag byte per candidate
+BLOCK_SIZE = 256  # primes per gcd block of the pre-pass
 
 
 @dataclass
 class PrimeTable:
-    """Ascending primes <= limit.  Treat as immutable; safe to share."""
+    """Ascending primes <= limit.  Treat as immutable; safe to share.
+
+    blocks holds (index of the block's first prime, product of the block's
+    primes) for consecutive blocks of BLOCK_SIZE primes, the last one
+    possibly shorter.  It is derived from primes, so it takes no part in
+    repr or equality.
+    """
 
     limit: int
     primes: list[int]
+    blocks: list[tuple[int, int]] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        self.blocks = [
+            (i, math.prod(self.primes[i : i + BLOCK_SIZE]))
+            for i in range(0, len(self.primes), BLOCK_SIZE)
+        ]
 
     def __contains__(self, n: int) -> bool:
         from bisect import bisect_left
@@ -46,7 +67,7 @@ def sieve(limit: int, memory_cap: int = MEMORY_CAP) -> PrimeTable:
         if flags[p]:
             flags[p * p :: p] = bytearray(len(range(p * p, limit + 1, p)))
         p += 1
-    return PrimeTable(limit, [i for i in range(limit + 1) if flags[i]])
+    return PrimeTable(limit, list(itertools.compress(range(limit + 1), flags)))
 
 
 def trial_divide(n: int, table: PrimeTable) -> tuple[dict[int, int], int]:
@@ -57,20 +78,35 @@ def trial_divide(n: int, table: PrimeTable) -> tuple[dict[int, int], int]:
     stops early once p*p exceeds the remaining cofactor: at that point the
     cofactor is either 1 or prime, and if it still fits under the table
     limit it is emitted as a factor instead of returned.
+
+    Each block of primes costs one gcd against its product; a block is
+    scanned only when that gcd shows it holds a divisor, and the scan of a
+    block ends once every prime of the gcd has been peeled off.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     factors: dict[int, int] = {}
     m = n
-    for p in table.primes:
-        if p * p > m:
+    primes = table.primes
+    for start, product in table.blocks:
+        if primes[start] * primes[start] > m:
             break
-        if m % p == 0:
-            k = 0
-            while m % p == 0:
-                m //= p
-                k += 1
-            factors[p] = k
+        g = math.gcd(m, product)
+        if g == 1:
+            continue
+        # g is the product of the block's primes that divide m, each once.
+        for p in primes[start : start + BLOCK_SIZE]:
+            if p * p > m:
+                break
+            if g % p == 0:
+                k = 0
+                while m % p == 0:
+                    m //= p
+                    k += 1
+                factors[p] = k
+                g //= p
+                if g == 1:
+                    break
     if 1 < m <= table.limit:
         # No prime <= sqrt(m) divides m, so m is prime and under the limit.
         factors[m] = 1

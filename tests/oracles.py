@@ -85,6 +85,21 @@ def trial_factorize(n: int) -> dict[int, int]:
     return out
 
 
+def trial_divide_scan(n: int, primes: list[int]) -> tuple[dict[int, int], int]:
+    """(factors, cofactor) of n over the given primes, trying every one.
+
+    No early exit and no batching: each prime is tried by `%` in turn, so
+    the cofactor is whatever is left once all of them are divided out.
+    """
+    factors: dict[int, int] = {}
+    m = n
+    for p in primes:
+        while m % p == 0:
+            factors[p] = factors.get(p, 0) + 1
+            m //= p
+    return factors, m
+
+
 def primes_upto(limit: int) -> list[int]:
     return [n for n in range(2, limit + 1) if trial_is_prime(n)]
 

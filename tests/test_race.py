@@ -1,10 +1,16 @@
 """Race coordination tests: constant assignment, winner claim, retries."""
 
 import multiprocessing
+import os
 import random
+import signal
+import time
+from contextlib import contextmanager
 
 import pytest
 
+from rhorace import race
+from rhorace.bench import _random_prime_digits
 from rhorace.race import (
     FactorSearchExhausted,
     RaceConfig,
@@ -158,3 +164,121 @@ def test_race_brent_detector():
     outcome = race_factor(SEMIPRIME, RaceConfig(workers=1, seed=2, detector="brent"))
     assert SEMIPRIME % outcome.factor == 0
     assert 1 < outcome.factor < SEMIPRIME
+
+
+@contextmanager
+def _deadline(seconds):
+    """Raise TimeoutError in this process if the block runs past seconds."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+class _CountingFork:
+    """The fork context, counting Process.start calls."""
+
+    def __init__(self, real):
+        self._real = real
+        self.starts = 0
+
+    def __getattr__(self, name):
+        return getattr(self._real, name)
+
+    def Process(self, *args, **kwargs):
+        proc = self._real.Process(*args, **kwargs)
+        start = proc.start
+
+        def counted_start():
+            self.starts += 1
+            start()
+
+        proc.start = counted_start
+        return proc
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3, 4])
+def test_race_forks_one_process_fewer_than_workers(monkeypatch, workers):
+    counting = _CountingFork(race._FORK)
+    monkeypatch.setattr(race, "_FORK", counting)
+    outcome = race_factor(SEMIPRIME, RaceConfig(workers=workers, seed=6))
+    assert SEMIPRIME % outcome.factor == 0
+    assert len(outcome.worker_outcomes) == workers
+    assert counting.starts == (workers - 1) * outcome.rounds
+    assert multiprocessing.active_children() == []
+
+
+def test_race_child_winner_cancels_the_coordinator():
+    """Criterion 8 with the planted winner in a forked child, worker 1.
+
+    Worker 0 runs in this process; the child's factor must stop it at a
+    batch boundary, not at its budget.
+    """
+    rng = random.Random(20260814)
+    p = _random_prime_digits(rng, 12)
+    r = _random_prime_digits(rng, 100)
+    n = p * r**15  # ~1500 digits: one iteration costs ~0.2-0.3 ms
+    batch = 16
+    budget = 1_000_000
+    config = RaceConfig(
+        workers=3,
+        seed=5,
+        c_values=[1, 2 * p, 2],
+        x0_values=[0, 0, 0],
+        gcd_batch=batch,
+        max_iters=budget,
+        max_rounds=1,
+    )
+    with _deadline(20):
+        outcome = race_factor(n, config)
+    assert outcome.factor == p
+    assert outcome.winner == 1
+    winner_out = outcome.worker_outcomes[1]
+    assert winner_out.kind == FACTOR
+    assert winner_out.iterations == batch
+    slack = 64 * batch  # the same allowance as criterion 8
+    for idx in (0, 2):
+        out = outcome.worker_outcomes[idx]
+        assert out.kind == CANCELLED, f"worker {idx} ended as {out.kind}"
+        assert out.iterations % batch == 0
+        assert out.iterations <= winner_out.iterations + slack, (
+            f"worker {idx} ran {out.iterations} iterations"
+        )
+    assert multiprocessing.active_children() == []
+
+
+def test_race_fails_fast_when_a_child_dies_silently(monkeypatch):
+    coordinator = os.getpid()
+
+    def exit_in_child(n, params, cancel):
+        if os.getpid() != coordinator:
+            os._exit(3)
+        return rho_attempt(n, params, cancel)
+
+    monkeypatch.setitem(race.DETECTORS, "exit_in_child", exit_in_child)
+    config = RaceConfig(workers=3, seed=1, detector="exit_in_child")
+    with _deadline(5), pytest.raises(RuntimeError, match=r"race worker [12] exited with code 3"):
+        race_factor(SEMIPRIME, config)
+    assert multiprocessing.active_children() == []
+
+
+def test_race_leaves_no_child_when_the_coordinator_is_interrupted(monkeypatch):
+    coordinator = os.getpid()
+
+    def interrupted_here(n, params, cancel):
+        if os.getpid() == coordinator:
+            raise KeyboardInterrupt
+        time.sleep(60)  # a child that would outlive the round on its own
+        return rho_attempt(n, params, cancel)
+
+    monkeypatch.setitem(race.DETECTORS, "interrupted_here", interrupted_here)
+    with _deadline(5), pytest.raises(KeyboardInterrupt):
+        race_factor(SEMIPRIME, RaceConfig(workers=3, seed=1, detector="interrupted_here"))
+    assert multiprocessing.active_children() == []

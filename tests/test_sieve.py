@@ -1,11 +1,12 @@
 """Sieve and trial-division pre-pass tests."""
 
+import math
 import random
 
 import pytest
 
 import oracles
-from rhorace.sieve import MEMORY_CAP, PrimeTable, sieve, trial_divide
+from rhorace.sieve import BLOCK_SIZE, MEMORY_CAP, PrimeTable, sieve, trial_divide
 
 
 def test_sieve_tiny_limits():
@@ -98,3 +99,85 @@ def test_trial_divide_rejects_nonpositive(table_1e6):
 def test_trial_divide_with_empty_table():
     empty = PrimeTable(1, [])
     assert trial_divide(97, empty) == ({}, 97)
+
+
+def test_prime_table_blocks_cover_the_primes(table_1e6):
+    primes = table_1e6.primes
+    starts = [start for start, _ in table_1e6.blocks]
+    assert starts == list(range(0, len(primes), BLOCK_SIZE))
+    for start, product in table_1e6.blocks:
+        expected = 1
+        for p in primes[start : start + BLOCK_SIZE]:
+            expected *= p
+        assert product == expected
+
+
+def test_prime_table_blocks_stay_out_of_repr_and_equality():
+    assert PrimeTable(1, []).blocks == []
+    table = PrimeTable(10, [2, 3, 5, 7])
+    assert table.blocks == [(0, 210)]
+    assert "blocks" not in repr(table)
+    assert sieve(10) == table
+    assert sieve(2000).blocks[-1][0] == BLOCK_SIZE  # 303 primes: a short last block
+
+
+def _scan_matches(n, table):
+    factors, cofactor = trial_divide(n, table)
+    expected = oracles.trial_divide_scan(n, table.primes)
+    assert (factors, cofactor) == expected, f"n={n}"
+    # Same order as a scan in ascending primes.
+    assert list(factors) == sorted(factors), f"n={n}"
+
+
+def test_trial_divide_matches_full_scan_random(table_1e6):
+    rng = random.Random(4040)
+    primes = table_1e6.primes
+    for _ in range(120):
+        _scan_matches(rng.randrange(1, 10**40), table_1e6)
+    for _ in range(60):
+        # smooth part from anywhere in the table times a rough or prime rest
+        n = rng.randrange(1, 10**20)
+        for _ in range(rng.randint(1, 6)):
+            n *= rng.choice(primes) ** rng.randint(1, 4)
+        _scan_matches(n, table_1e6)
+
+
+def test_trial_divide_matches_full_scan_constructed(table_1e6):
+    P = table_1e6.primes
+    big = 1000003  # prime just above the limit
+    last = len(P) - 1
+    tail = len(P) - len(P) % BLOCK_SIZE  # first prime of the short last block
+    edges = [0, 1, 255, 256, 257, 511, 512, 767, 768, tail - 1, tail, last - 1, last]
+    cases = [P[i] for i in edges]
+    cases += [P[i] * P[j] for i in edges for j in edges if i <= j]
+    cases += [P[i] * big for i in edges]
+    cases += [P[i] * P[j] * big**2 for i, j in zip(edges, edges[1:])]
+    # high powers, and a prime cofactor under the limit left by the early exit
+    cases += [
+        2**200,
+        3**100 * 999983**5,
+        P[255] ** 7 * P[256] ** 3,
+        P[511] ** 9 * big,
+        2**61 * 3**38 * 5**20 * 7**10 * 999983**3,
+        999983**12,
+        big**4 * 999979**2,
+        999983,
+        2 * 999983,
+        997 * 999983,
+        999979 * 999983,
+    ]
+    for n in cases:
+        _scan_matches(n, table_1e6)
+
+
+def test_trial_divide_matches_full_scan_partial_last_block():
+    table = sieve(2000)
+    assert len(table.primes) % BLOCK_SIZE != 0
+    rng = random.Random(2000)
+    P = table.primes
+    cases = list(range(1, 5000))
+    cases += [P[i] * P[j] for i in (254, 255, 256, len(P) - 1) for j in range(len(P))]
+    cases += [rng.randrange(1, 10**30) for _ in range(300)]
+    cases += [P[-1] ** 5, P[-1] * 2003, 1999 * 2003 * 2011, math.prod(P[250:])]
+    for n in cases:
+        _scan_matches(n, table)

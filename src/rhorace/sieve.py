@@ -79,9 +79,8 @@ def trial_divide(n: int, table: PrimeTable) -> tuple[dict[int, int], int]:
     cofactor is either 1 or prime, and if it still fits under the table
     limit it is emitted as a factor instead of returned.
 
-    Each block of primes costs one gcd against its product; a block is
-    scanned only when that gcd shows it holds a divisor, and the scan of a
-    block ends once every prime of the gcd has been peeled off.
+    Blocks whose gcd with the cofactor is 1 are skipped whole, and the scan
+    of any other block ends once the primes of that gcd are peeled off.
     """
     if n < 1:
         raise ValueError("n must be >= 1")

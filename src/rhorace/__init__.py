@@ -5,7 +5,7 @@ sieve pre-pass, single rho attempts, the multi-worker race, the recursive
 factorization driver, and the benchmark harness.
 """
 
-from .numeric import gcd, is_probable_prime, mod_mul, parse_natural, render_natural
+from .numeric import gcd, is_probable_prime, parse_natural, render_natural
 from .sieve import PrimeTable, sieve, trial_divide
 from .rho import (
     BUDGET_EXHAUSTED,
@@ -18,9 +18,8 @@ from .rho import (
     default_max_iters,
     floyd_cycle_index,
     rho_attempt,
-    step,
 )
-from .race import FactorSearchExhausted, RaceConfig, RaceOutcome, assign_c, race_factor
+from .race import FactorSearchExhausted, RaceConfig, RaceOutcome, race_factor
 from .pipeline import (
     Factorization,
     FactorizationIncomplete,
@@ -45,7 +44,6 @@ __version__ = "0.1.0"
 __all__ = [
     "gcd",
     "is_probable_prime",
-    "mod_mul",
     "parse_natural",
     "render_natural",
     "PrimeTable",
@@ -61,11 +59,9 @@ __all__ = [
     "default_max_iters",
     "floyd_cycle_index",
     "rho_attempt",
-    "step",
     "FactorSearchExhausted",
     "RaceConfig",
     "RaceOutcome",
-    "assign_c",
     "race_factor",
     "Factorization",
     "FactorizationIncomplete",

@@ -43,11 +43,7 @@ def _derive_seed(seed: int, *parts: int) -> int:
 
 def _random_prime_digits(rng: random.Random, digits: int) -> int:
     """A probable prime with exactly `digits` digits (digits >= 2)."""
-    lo, hi = 10 ** (digits - 1), 10**digits - 1
-    while True:
-        cand = rng.randrange(lo, hi + 1) | 1
-        if cand <= hi and is_probable_prime(cand):
-            return cand
+    return _random_prime_range(rng, 10 ** (digits - 1), 10**digits - 1)
 
 
 def _random_prime_range(rng: random.Random, lo: int, hi: int) -> int:

@@ -85,6 +85,10 @@ def cmd_factor(args) -> int:
             raise ValueError("0 has no prime factorization")
         if args.workers < 0:
             raise ValueError("workers must be >= 0")
+        if args.gcd_batch < 1:
+            raise ValueError("--gcd-batch must be >= 1")
+        if args.max_iters is not None and args.max_iters < 1:
+            raise ValueError("--max-iters must be >= 1")
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -124,6 +128,8 @@ def cmd_factor(args) -> int:
 
 def cmd_gen(args) -> int:
     try:
+        if args.count < 1:
+            raise ValueError("--count must be >= 1")
         for i in range(args.count):
             seed = args.seed if args.count == 1 else _derive_seed(args.seed, args.digits, i)
             print(bench_mod.gen_input(args.digits, args.small, seed))
@@ -144,6 +150,13 @@ def cmd_bench(args) -> int:
         seed=args.seed,
         small_factor_digits=small,
     )
+    try:
+        if args.per_class < 1:
+            raise ValueError("--per-class must be >= 1")
+        suite.ensure_inputs()  # rejects digit sizes gen_input cannot build
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     try:
         records = bench_mod.run_suite(suite, RaceConfig(seed=args.seed))
         rows = bench_mod.summarize(records)

@@ -2,8 +2,8 @@
 
 Python ints are already arbitrary precision, so most of this module is thin
 glue: it pins down the decimal wire format used at the package boundary and
-the number-theory primitives (gcd, modular product, Miller-Rabin) everything
-else builds on.
+the number-theory primitives (gcd, Miller-Rabin) everything else builds
+on.
 """
 
 from __future__ import annotations
@@ -20,17 +20,6 @@ _MR_EXACT_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 _DIGITS = frozenset("0123456789")
-
-
-def mod_mul(a: int, b: int, n: int) -> int:
-    """Product of a and b reduced mod n, in [0, n)."""
-    if n < 1:
-        raise ValueError("modulus must be >= 1")
-    return (a * b) % n
-
-
-def abs_diff(a: int, b: int) -> int:
-    return a - b if a >= b else b - a
 
 
 def _mr_witness(a: int, d: int, s: int, n: int) -> bool:

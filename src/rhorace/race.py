@@ -8,6 +8,10 @@ arithmetic in parallel), so a k-worker round forks k-1 children.  The worker
 that finds a factor sets a shared event that every attempt polls once per
 gcd batch, which cancels the rest, the caller's own attempt included.
 
+race_factor derives each round's RhoParams from its RaceConfig: the
+constants 1, 2, 3, ... in the first round, seeded draws after that.
+_run_round races any list of RhoParams it is given, one per worker.
+
 A race with workers=1 runs inline in the calling process and is byte-for-byte
 a direct rho_attempt call, which keeps single-worker runs reproducible.
 """
@@ -43,21 +47,19 @@ class FactorSearchExhausted(Exception):
 class RaceConfig:
     """Knobs for race_factor.  workers=0 means the detected core count.
 
-    c_values / x0_values override the first round's constants and start
-    values (mainly for tests and experiments); retry rounds always draw
-    fresh constants from the seeded generator, excluding every c used so
-    far.  max_iters=None sizes the budget from n at attempt time.
+    The first round uses the constants 1, 2, 3, ... (assign_c); retry
+    rounds draw fresh constants from a generator seeded with seed,
+    excluding every c used so far, and every round draws its start values
+    from that generator.  max_iters=None sizes the budget from n at attempt
+    time.
     """
 
     workers: int = 0
     seed: int = 0
-    c_values: list[int] | None = None
-    randomize_c: bool = False
     max_iters: int | None = None
     gcd_batch: int = rho.DEFAULT_GCD_BATCH
     detector: str = "floyd"
     max_rounds: int = DEFAULT_MAX_ROUNDS
-    x0_values: list[int] | None = None
 
     def resolved_workers(self) -> int:
         if self.workers < 0:
@@ -77,13 +79,12 @@ class RaceOutcome:
     worker_outcomes: list[RhoOutcome] = field(default_factory=list)
 
 
-def assign_c(workers: int, seed: int, n: int, randomize: bool = False) -> list[int]:
-    """Distinct polynomial constants for the workers, as residues mod n.
+def assign_c(workers: int, n: int) -> list[int]:
+    """The first round's constants: 1, 2, 3, ... as residues mod n.
 
-    The default rule walks 1, 2, 3, ... skipping the banned residues 0 and
-    n-2 (degenerate polynomials); randomize=True draws distinct residues
-    from a generator seeded with `seed` instead.  There are exactly n-2
-    usable residues, so more workers than that is an error.
+    The walk skips the banned residues 0 and n-2 (degenerate polynomials).
+    There are exactly n-2 usable residues, so more workers than that is an
+    error.
     """
     if workers < 1:
         raise ValueError("workers must be >= 1")
@@ -92,9 +93,6 @@ def assign_c(workers: int, seed: int, n: int, randomize: bool = False) -> list[i
     if workers > n - 2:
         raise ValueError(f"only {n - 2} usable constants exist mod {n}")
     banned = {0, (n - 2) % n}
-    if randomize:
-        rng = random.Random(seed)
-        return _draw_distinct_c(rng, n, workers, set())
     out: list[int] = []
     c = 1
     while len(out) < workers:
@@ -136,7 +134,7 @@ def _worker_main(idx, n, params, detector, cancel, queue):
 
 
 def _run_round(n, params_list, detector):
-    """Run one round: workers 1..k-1 in forked children, worker 0 here.
+    """Race params_list[i] as worker i: 1..k-1 in forked children, 0 here.
 
     Returns (outcomes by worker index, index of the first worker whose
     factor reached the queue, or None).  The worker that finds a factor
@@ -222,24 +220,15 @@ def race_factor(n: int, config: RaceConfig | None = None) -> RaceOutcome:
     used: set[int] = set()
     start = time.perf_counter()
     for round_no in range(config.max_rounds):
-        if round_no == 0 and config.c_values is not None:
-            if len(config.c_values) != workers:
-                raise ValueError("c_values must list one constant per worker")
-            cs = [c % n for c in config.c_values]
-        elif round_no == 0 and not config.randomize_c:
-            cs = assign_c(workers, config.seed, n)
+        if round_no == 0:
+            cs = assign_c(workers, n)
         else:
             try:
                 cs = _draw_distinct_c(rng, n, workers, used)
             except _ConstantsExhausted:
                 raise FactorSearchExhausted(n, round_no) from None
         used.update(cs)
-        if round_no == 0 and config.x0_values is not None:
-            if len(config.x0_values) != workers:
-                raise ValueError("x0_values must list one start per worker")
-            x0s = [x % n for x in config.x0_values]
-        else:
-            x0s = [rng.randrange(n) for _ in range(workers)]
+        x0s = [rng.randrange(n) for _ in range(workers)]
         params_list = [
             RhoParams.make(n, c, x0, config.max_iters, config.gcd_batch)
             for c, x0 in zip(cs, x0s)

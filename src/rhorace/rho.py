@@ -9,9 +9,14 @@ compares against a saved power-of-two checkpoint.
 
 gcds are the expensive step, so differences are accumulated as a modular
 product and a single gcd is taken per batch.  When a whole batch collapses
-(its gcd is n), the batch is replayed one step at a time from a checkpoint:
+(its gcd is n), the batch is replayed one step at a time from its start:
 the factor that appeared mid-batch is recovered unless the two sequences
 genuinely met, which is the one honest no-factor outcome.
+
+Both detectors run on one driver, _drive, which owns the budget, the cancel
+poll, the batch gcd, the replay and the outcome; a detector supplies only a
+start state and a function that advances its walk by up to a given number
+of steps.
 
 Attempts are deterministic in (n, params).  They may fail to find a factor;
 they never report a wrong one.
@@ -107,16 +112,6 @@ class RhoOutcome:
         return self.kind == FACTOR
 
 
-def step(x: int, c: int, n: int) -> int:
-    """One application of the rho polynomial: x*x + c mod n.
-
-    c = 0 is degenerate (0 is a fixed point and orbits collapse under
-    squaring); c = -2 conjugates to a trivial doubling map.  Both are banned
-    for attempt params, but step itself computes either on request.
-    """
-    return (x * x + c) % n
-
-
 def floyd_cycle_index(f: Callable[[int], int], x0: int) -> int:
     """Smallest i >= 1 with x_i == x_{2i} for the orbit x_{j+1} = f(x_j).
 
@@ -135,128 +130,102 @@ def floyd_cycle_index(f: Callable[[int], int], x0: int) -> int:
     return i
 
 
-def _check_attempt_args(n: int, params: RhoParams) -> None:
+def _drive(n: int, params: RhoParams, cancel, advance, state) -> RhoOutcome:
+    """Run one attempt with the walk that advance takes, one batch at a time.
+
+    advance(state, cap) takes at most cap steps from state and returns
+    (state, q, steps, met): q is the product mod n of the differences the
+    detector compared in those steps (1 if it compared none), and met says
+    the two pointers became equal, which ends the walk.  Per batch the
+    driver polls cancel, takes one gcd of q, and when that gcd is n replays
+    the batch from its start state with advance(state, 1) to find the step
+    where a factor first appeared.
+    """
     if n < 3 or n % 2 == 0:
         raise ValueError(f"attempt expects an odd n >= 3, got {n}")
     params.validate_for(n)
+    batch = params.gcd_batch
+    budget = params.max_iters
+    iters = 0
+    while iters < budget:
+        if cancel is not None and cancel.is_set():
+            return RhoOutcome(CANCELLED, iters)
+        start = state
+        state, q, steps, met = advance(state, min(batch, budget - iters))
+        iters += steps
+        d = gcd(q, n)
+        if d == n:
+            # The whole batch collapsed.  Replay it one gcd per step; the
+            # replayed steps count as iterations too.
+            state = start
+            for _ in range(steps):
+                state, q, _, met = advance(state, 1)
+                iters += 1
+                d = gcd(q, n)
+                if d != 1:
+                    break
+        if 1 < d < n:
+            return RhoOutcome(FACTOR, iters, d)
+        if d == n or met:
+            # The pointers met, or the sequence mod n cycled, with no
+            # factor on the way: this c is a dud.
+            return RhoOutcome(NO_FACTOR_CYCLE, iters)
+    return RhoOutcome(BUDGET_EXHAUSTED, iters)
 
 
 def rho_attempt(n: int, params: RhoParams, cancel=None) -> RhoOutcome:
     """One Floyd-paired rho attempt on n.
 
-    Each iteration advances the tortoise once and the hare twice, then folds
-    |tortoise - hare| into a running product mod n; one gcd is taken per
-    gcd_batch iterations.  The cancel signal (anything with is_set()) is
-    polled once per batch, so cancellation latency is bounded by the batch
-    size plus scheduling delay.
+    Each iteration advances the tortoise once and the hare twice and folds
+    |tortoise - hare| into the batch product.  cancel is an optional event,
+    polled once per gcd batch, so cancellation latency is bounded by the
+    batch size plus scheduling delay.
     """
-    _check_attempt_args(n, params)
-    c = params.c % n
-    batch = params.gcd_batch
-    budget = params.max_iters
-    tort = hare = params.x0
-    iters = 0
-    while iters < budget:
-        if cancel is not None and cancel.is_set():
-            return RhoOutcome(CANCELLED, iters)
-        span = min(batch, budget - iters)
-        tort0, hare0 = tort, hare
+    c = params.c
+
+    def advance(state, cap):
+        tort, hare = state
         q = 1
-        met = False
-        steps = 0
-        for _ in range(span):
+        for steps in range(1, cap + 1):
             tort = (tort * tort + c) % n
             hare = (hare * hare + c) % n
             hare = (hare * hare + c) % n
-            iters += 1
-            steps += 1
             diff = tort - hare
             if diff == 0:
-                met = True
-                break
+                return (tort, hare), q, steps, True
             q = q * (diff if diff > 0 else -diff) % n
-        d = gcd(q, n)
-        if 1 < d < n:
-            return RhoOutcome(FACTOR, iters, d)
-        if d == n:
-            # The whole batch collapsed.  Replay it one gcd per step to
-            # recover the factor that first appeared mid-batch.
-            tort, hare = tort0, hare0
-            for _ in range(steps):
-                tort = (tort * tort + c) % n
-                hare = (hare * hare + c) % n
-                hare = (hare * hare + c) % n
-                iters += 1
-                d = gcd(abs(tort - hare), n)
-                if d == 1:
-                    continue
-                if d < n:
-                    return RhoOutcome(FACTOR, iters, d)
-                return RhoOutcome(NO_FACTOR_CYCLE, iters)
-            return RhoOutcome(NO_FACTOR_CYCLE, iters)
-        if met:
-            # Hare caught the tortoise with every gcd trivial: the full
-            # sequence mod n cycled and this c is a dud.
-            return RhoOutcome(NO_FACTOR_CYCLE, iters)
-    return RhoOutcome(BUDGET_EXHAUSTED, iters)
+        return (tort, hare), q, cap, False
+
+    return _drive(n, params, cancel, advance, (params.x0, params.x0))
 
 
 def brent_attempt(n: int, params: RhoParams, cancel=None) -> RhoOutcome:
     """Brent-variant attempt: same contract as rho_attempt.
 
-    The slow pointer teleports to the fast one at power-of-two indices
-    instead of walking, saving a third of the polynomial evaluations.
-    iterations counts fast-pointer advances.
+    The walk runs in phases of 2r fast-pointer steps, r doubling each
+    phase: the first r steps are not compared, the last r are compared
+    against x, the value at the phase start.  The slow pointer thus
+    teleports instead of walking, saving a third of the polynomial
+    evaluations.  iterations counts fast-pointer advances.
     """
-    _check_attempt_args(n, params)
-    c = params.c % n
-    batch = params.gcd_batch
-    budget = params.max_iters
-    y = params.x0
-    r = 1
-    iters = 0
-    while True:
-        x = y
-        advanced = 0
-        while advanced < r:
-            if cancel is not None and cancel.is_set():
-                return RhoOutcome(CANCELLED, iters)
-            span = min(batch, r - advanced, budget - iters)
-            if span == 0:
-                return RhoOutcome(BUDGET_EXHAUSTED, iters)
+    c = params.c
+
+    def advance(state, cap):
+        x, y, r, k = state
+        q = 1
+        if k < r:
+            span = min(cap, r - k)
             for _ in range(span):
                 y = (y * y + c) % n
-            iters += span
-            advanced += span
-        k = 0
-        while k < r:
-            if cancel is not None and cancel.is_set():
-                return RhoOutcome(CANCELLED, iters)
-            span = min(batch, r - k, budget - iters)
-            if span == 0:
-                return RhoOutcome(BUDGET_EXHAUSTED, iters)
-            ys = y
-            q = 1
+        else:
+            span = min(cap, 2 * r - k)
             for _ in range(span):
                 y = (y * y + c) % n
                 diff = x - y
                 q = q * (diff if diff > 0 else -diff) % n
-            iters += span
-            k += span
-            d = gcd(q, n)
-            if d == 1:
-                continue
-            if d < n:
-                return RhoOutcome(FACTOR, iters, d)
-            # Collapsed block: replay from the block's start checkpoint.
-            for _ in range(span):
-                ys = (ys * ys + c) % n
-                iters += 1
-                d = gcd(abs(x - ys), n)
-                if d == 1:
-                    continue
-                if d < n:
-                    return RhoOutcome(FACTOR, iters, d)
-                return RhoOutcome(NO_FACTOR_CYCLE, iters)
-            return RhoOutcome(NO_FACTOR_CYCLE, iters)
-        r *= 2
+        k += span
+        if k == 2 * r:
+            x, r, k = y, 2 * r, 0
+        return (x, y, r, k), q, span, False
+
+    return _drive(n, params, cancel, advance, (params.x0, params.x0, 1, 0))

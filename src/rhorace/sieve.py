@@ -41,12 +41,6 @@ class PrimeTable:
             for i in range(0, len(self.primes), BLOCK_SIZE)
         ]
 
-    def __contains__(self, n: int) -> bool:
-        from bisect import bisect_left
-
-        i = bisect_left(self.primes, n)
-        return i < len(self.primes) and self.primes[i] == n
-
 
 def sieve(limit: int, memory_cap: int = MEMORY_CAP) -> PrimeTable:
     """All primes <= limit, marking composites from p*p upward in steps of p.

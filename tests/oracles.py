@@ -1,58 +1,17 @@
 """Independent reference implementations used only to check the package.
 
-Nothing here imports rhorace.  The arithmetic oracles avoid the operations
-they are checking: schoolbook_mulmod multiplies limb by limb with small-int
-operations instead of big-int multiply, euclid_gcd is the bare subtraction-
-free Euclid loop, and the factorization/primality oracles are plain trial
-division.
+Nothing here imports rhorace.  The oracles avoid the operations they are
+checking: euclid_gcd is the bare subtraction-free Euclid loop, and the
+factorization/primality oracles are plain trial division.
 """
 
 from __future__ import annotations
-
-_LIMB_DIGITS = 4
-_LIMB_BASE = 10**_LIMB_DIGITS
 
 
 def euclid_gcd(a: int, b: int) -> int:
     while b:
         a, b = b, a % b
     return a
-
-
-def _to_limbs(x: int) -> list[int]:
-    """Little-endian base-10^4 limbs, derived from the decimal string."""
-    text = str(x)
-    limbs = []
-    for end in range(len(text), 0, -_LIMB_DIGITS):
-        limbs.append(int(text[max(0, end - _LIMB_DIGITS) : end]))
-    return limbs
-
-
-def schoolbook_mulmod(a: int, b: int, n: int) -> int:
-    """(a * b) % n with the product built limb by limb.
-
-    Every partial product fits machine integers, so a bug in big-int
-    multiplication cannot hide here; only the final Horner reduction leans
-    on built-in arithmetic, and only with one small scalar per step.
-    """
-    aa, bb = _to_limbs(a), _to_limbs(b)
-    prod = [0] * (len(aa) + len(bb))
-    for i, ai in enumerate(aa):
-        carry = 0
-        for j, bj in enumerate(bb):
-            cur = prod[i + j] + ai * bj + carry
-            prod[i + j] = cur % _LIMB_BASE
-            carry = cur // _LIMB_BASE
-        k = i + len(bb)
-        while carry:
-            cur = prod[k] + carry
-            prod[k] = cur % _LIMB_BASE
-            carry = cur // _LIMB_BASE
-            k += 1
-    r = 0
-    for limb in reversed(prod):
-        r = (r * _LIMB_BASE + limb) % n
-    return r
 
 
 def trial_is_prime(n: int) -> bool:

@@ -15,9 +15,10 @@ import pytest
 
 import oracles
 from reference_times import reference_records
+from rhorace import race
 from rhorace.bench import BenchSuite, _random_prime_digits, _random_prime_range, run_suite, summarize
 from rhorace.pipeline import factorize, verify
-from rhorace.race import RaceConfig, race_factor
+from rhorace.race import RaceConfig
 from rhorace.rho import CANCELLED, FACTOR, RhoParams, rho_attempt
 
 ORACLE_SWEEP_LIMIT = 100_000
@@ -255,25 +256,19 @@ def test_criterion_8_cancellation_latency(capsys):
     # worker 0 is a planted winner: from x0=0 with c=2p the whole orbit is
     # 0 mod p, so its first batch gcd already yields p.  The losers' honest
     # search for p would need ~sqrt(p) ~ 5e5 iterations.
-    config = RaceConfig(
-        workers=4,
-        seed=5,
-        c_values=[2 * p, 1, 2, 3],
-        x0_values=[0, 0, 0, 0],
-        gcd_batch=batch,
-        max_iters=budget,
-        max_rounds=1,
-    )
-    outcome = race_factor(n, config)
-    assert outcome.factor == p
-    assert outcome.winner == 0
-    winner_out = outcome.worker_outcomes[0]
+    params_list = [
+        RhoParams.make(n, c, x0=0, max_iters=budget, gcd_batch=batch) for c in (2 * p, 1, 2, 3)
+    ]
+    outcomes, winner = race._run_round(n, params_list, "floyd")
+    assert winner == 0
+    winner_out = outcomes[0]
     assert winner_out.kind == FACTOR
+    assert winner_out.factor == p
     assert winner_out.iterations == batch  # first batch boundary
     loser_iters = []
     slack = 64 * batch  # generous allowance for single-core scheduling skew
-    for idx, out in enumerate(outcome.worker_outcomes):
-        if idx == outcome.winner:
+    for idx, out in enumerate(outcomes):
+        if idx == winner:
             continue
         assert out.kind == CANCELLED, f"loser {idx} ended as {out.kind}"
         assert out.iterations % batch == 0

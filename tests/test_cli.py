@@ -60,6 +60,15 @@ def test_factor_rejects_bad_input(text, capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("n", ["1000036000099", "12"])  # raced, and done by the pre-pass
+@pytest.mark.parametrize("option", ["--gcd-batch", "--max-iters"])
+def test_factor_rejects_nonpositive_batch_and_budget(n, option, capsys):
+    assert run_cli("factor", n, "--workers", "1", option, "0") == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+
+
 def test_factor_incomplete_exits_one(capsys):
     n = str(10000019 * 10000079)
     code = run_cli("factor", n, "--workers", "1", "--max-iters", "4", "--gcd-batch", "4")
@@ -91,6 +100,15 @@ def test_gen_count(capsys):
 
 def test_gen_bad_params(capsys):
     assert run_cli("gen", "--digits", "3", "--small", "2") == 2
+    assert run_cli("gen", "--digits", "20", "--count", "0") == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("error: ") == 2
+
+
+def test_gen_readme_example(capsys):
+    assert run_cli("gen", "--digits", "30", "--seed", "7") == 0
+    assert capsys.readouterr().out == "754922180314866211108420120531\n"
 
 
 def test_bench_writes_outputs(tmp_path, capsys):
@@ -128,6 +146,23 @@ def test_bench_unwritable_out_exits_one(tmp_path, capsys):
     )
     assert code == 1
     assert "error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["--per-class", "0"],
+        ["--classes", "3"],
+        ["--classes", "20", "--small-digits", "15"],
+    ],
+)
+def test_bench_rejects_unbuildable_suites(args, tmp_path, capsys):
+    out_dir = tmp_path / "bench"
+    assert run_cli("bench", *args, "--workers", "1", "--out", str(out_dir)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert not out_dir.exists()
 
 
 def test_bench_rejects_zero_workers():

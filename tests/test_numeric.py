@@ -1,18 +1,11 @@
-"""Integer primitive tests: gcd, modular product, Miller-Rabin, wire format."""
+"""Integer primitive tests: gcd, Miller-Rabin, wire format."""
 
 import random
 
 import pytest
 
 import oracles
-from rhorace.numeric import (
-    abs_diff,
-    gcd,
-    is_probable_prime,
-    mod_mul,
-    parse_natural,
-    render_natural,
-)
+from rhorace.numeric import gcd, is_probable_prime, parse_natural, render_natural
 
 
 def test_gcd_known_values():
@@ -31,54 +24,6 @@ def test_gcd_matches_euclid_reference():
         assert g == oracles.euclid_gcd(a, b)
         if g:
             assert a % g == 0 and b % g == 0
-
-
-def test_abs_diff():
-    assert abs_diff(7, 3) == 4
-    assert abs_diff(3, 7) == 4
-    assert abs_diff(5, 5) == 0
-    assert abs_diff(0, 10**40) == 10**40
-
-
-def test_mod_mul_small_cases():
-    assert mod_mul(5, 5, 7) == 4
-    assert mod_mul(0, 123456, 97) == 0
-    assert mod_mul(12, 34, 1) == 0
-
-
-def test_mod_mul_full_width_case():
-    # 10^25 squared would overflow any fixed-width integer; the schoolbook
-    # oracle builds the product limb by limb, so the comparison is
-    # independent of built-in big-int multiplication.
-    a = b = 10**25
-    n = 10**30 + 1
-    expected = oracles.schoolbook_mulmod(a, b, n)
-    assert expected == int("9" * 10 + "0" * 19 + "1")
-    assert mod_mul(a, b, n) == expected
-
-
-def test_mod_mul_random_agrees_with_schoolbook():
-    rng = random.Random(7)
-    for _ in range(200):
-        a = rng.randrange(10 ** rng.randint(1, 40))
-        b = rng.randrange(10 ** rng.randint(1, 40))
-        n = rng.randrange(1, 10 ** rng.randint(1, 40) + 1)
-        assert mod_mul(a, b, n) == oracles.schoolbook_mulmod(a, b, n)
-
-
-def test_mod_mul_result_range():
-    rng = random.Random(8)
-    for _ in range(200):
-        n = rng.randrange(1, 10**20)
-        r = mod_mul(rng.randrange(10**25), rng.randrange(10**25), n)
-        assert 0 <= r < n
-
-
-def test_mod_mul_rejects_bad_modulus():
-    with pytest.raises(ValueError):
-        mod_mul(3, 4, 0)
-    with pytest.raises(ValueError):
-        mod_mul(3, 4, -5)
 
 
 def test_probable_prime_small_values():

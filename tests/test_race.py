@@ -18,28 +18,28 @@ from rhorace.race import (
     assign_c,
     race_factor,
 )
-from rhorace.rho import CANCELLED, FACTOR, RhoParams, rho_attempt
+from rhorace.rho import CANCELLED, FACTOR, NO_FACTOR_CYCLE, RhoOutcome, RhoParams, rho_attempt
 
 SEMIPRIME = 1000003 * 1000033  # both factors just beyond the pre-pass limit
 
 
 def test_assign_c_sequential_rule():
-    assert assign_c(4, 0, 8051) == [1, 2, 3, 4]
-    assert assign_c(1, 0, 8051) == [1]
+    assert assign_c(4, 8051) == [1, 2, 3, 4]
+    assert assign_c(1, 8051) == [1]
 
 
 def test_assign_c_skips_banned_residues():
     # mod 5 the banned residues are 0 and 3 (= n-2), so 3 is skipped.
-    assert assign_c(3, 0, 5) == [1, 2, 4]
+    assert assign_c(3, 5) == [1, 2, 4]
     # mod 3 the banned residues are 0 and 1.
-    assert assign_c(1, 0, 3) == [2]
+    assert assign_c(1, 3) == [2]
 
 
-def test_assign_c_randomized_is_seeded_and_valid():
+def test_draw_distinct_c_is_seeded_and_valid():
     n = 10**50 + 151
-    first = assign_c(2, 42, n, randomize=True)
-    again = assign_c(2, 42, n, randomize=True)
-    other = assign_c(2, 43, n, randomize=True)
+    first = race._draw_distinct_c(random.Random(42), n, 2, set())
+    again = race._draw_distinct_c(random.Random(42), n, 2, set())
+    other = race._draw_distinct_c(random.Random(43), n, 2, set())
     assert first == again
     assert len(set(first)) == 2
     assert first != other  # overwhelmingly likely for a 50-digit modulus
@@ -51,11 +51,11 @@ def test_assign_c_randomized_is_seeded_and_valid():
 def test_assign_c_exhausts_residues():
     # n=5 has exactly three usable residues; a fourth worker cannot exist.
     with pytest.raises(ValueError):
-        assign_c(4, 0, 5)
+        assign_c(4, 5)
     with pytest.raises(ValueError):
-        assign_c(0, 0, 8051)
+        assign_c(0, 8051)
     with pytest.raises(ValueError):
-        assign_c(1, 0, 2)
+        assign_c(1, 2)
 
 
 def test_single_worker_race_is_a_direct_attempt():
@@ -107,17 +107,10 @@ def test_race_factor_valid_across_schedules():
 
 
 def test_race_explicit_constants_and_starts():
-    config = RaceConfig(workers=1, seed=0, c_values=[1], x0_values=[2], gcd_batch=1)
-    outcome = race_factor(8051, config)
-    assert outcome.factor == 97
-    assert outcome.per_worker_iterations == [3]
-
-
-def test_race_rejects_mismatched_overrides():
-    with pytest.raises(ValueError):
-        race_factor(8051, RaceConfig(workers=2, c_values=[1]))
-    with pytest.raises(ValueError):
-        race_factor(8051, RaceConfig(workers=2, x0_values=[1]))
+    params = RhoParams.make(8051, c=1, x0=2, gcd_batch=1)
+    outcomes, winner = race._run_round(8051, [params], "floyd")
+    assert winner == 0
+    assert outcomes == [RhoOutcome(FACTOR, 3, 97)]
 
 
 def test_race_rejects_bad_inputs():
@@ -148,16 +141,17 @@ def test_race_exhaustion_raises():
     assert exc_info.value.rounds == 4
 
 
-def test_race_exhaustion_when_constants_run_out():
-    # n=9 offers seven usable residues; round one burns four and fails (from
-    # x0=0 every constant yields a trivial gcd in one step), and round two
-    # cannot draw four fresh ones from the three left.
-    config = RaceConfig(
-        workers=4, seed=0, c_values=[1, 2, 3, 4], x0_values=[0, 0, 0, 0],
-        max_iters=1, gcd_batch=1, max_rounds=16,
-    )
-    with pytest.raises(FactorSearchExhausted):
-        race_factor(9, config)
+def test_race_exhaustion_when_constants_run_out(monkeypatch):
+    # n=5 offers three usable residues (1, 2, 4): one round each, then no
+    # fresh constant is left for a fourth round.
+    def never_finds(n, params, cancel):
+        return RhoOutcome(NO_FACTOR_CYCLE, 1)
+
+    monkeypatch.setitem(race.DETECTORS, "never_finds", never_finds)
+    config = RaceConfig(workers=1, detector="never_finds", max_rounds=16)
+    with pytest.raises(FactorSearchExhausted) as exc_info:
+        race_factor(5, config)
+    assert exc_info.value.rounds == 3
 
 
 def test_race_brent_detector():
@@ -227,25 +221,19 @@ def test_race_child_winner_cancels_the_coordinator():
     n = p * r**15  # ~1500 digits: one iteration costs ~0.2-0.3 ms
     batch = 16
     budget = 1_000_000
-    config = RaceConfig(
-        workers=3,
-        seed=5,
-        c_values=[1, 2 * p, 2],
-        x0_values=[0, 0, 0],
-        gcd_batch=batch,
-        max_iters=budget,
-        max_rounds=1,
-    )
+    params_list = [
+        RhoParams.make(n, c, x0=0, max_iters=budget, gcd_batch=batch) for c in (1, 2 * p, 2)
+    ]
     with _deadline(20):
-        outcome = race_factor(n, config)
-    assert outcome.factor == p
-    assert outcome.winner == 1
-    winner_out = outcome.worker_outcomes[1]
+        outcomes, winner = race._run_round(n, params_list, "floyd")
+    assert winner == 1
+    winner_out = outcomes[1]
     assert winner_out.kind == FACTOR
+    assert winner_out.factor == p
     assert winner_out.iterations == batch
     slack = 64 * batch  # the same allowance as criterion 8
     for idx in (0, 2):
-        out = outcome.worker_outcomes[idx]
+        out = outcomes[idx]
         assert out.kind == CANCELLED, f"worker {idx} ended as {out.kind}"
         assert out.iterations % batch == 0
         assert out.iterations <= winner_out.iterations + slack, (

@@ -1,10 +1,11 @@
-"""Single-attempt tests: the step map, Floyd detection, both rho variants."""
+"""Single-attempt tests: Floyd detection, both rho variants, recorded outcomes."""
 
 import random
 import threading
 
 import pytest
 
+import golden_attempts
 import oracles
 from rhorace.rho import (
     BUDGET_EXHAUSTED,
@@ -16,7 +17,6 @@ from rhorace.rho import (
     default_max_iters,
     floyd_cycle_index,
     rho_attempt,
-    step,
 )
 
 
@@ -32,16 +32,6 @@ def _random_semiprime(rng, lo=10**3, hi=10**6):
                 return cand
 
     return draw_prime() * draw_prime()
-
-
-def test_step_known_values():
-    # The first hops of the classic walk on 8051 with c=1.
-    assert step(2, 1, 8051) == 5
-    assert step(5, 1, 8051) == 26
-    assert step(26, 1, 8051) == 677
-    assert step(677, 1, 8051) == 7474
-    # c=0 pins 0 in place, which is exactly why it is banned as a constant.
-    assert step(0, 0, 8051) == 0
 
 
 def test_floyd_identity_meets_immediately():
@@ -226,3 +216,30 @@ def test_brent_budget_and_cancel():
     out = brent_attempt(n, _params(n, c=1, x0=2, gcd_batch=16), cancel=cancel)
     assert out.kind == CANCELLED
     assert out.iterations == 0
+
+
+class _CancelAfter:
+    """A cancel event that reads as set from poll `polls` + 1 on."""
+
+    def __init__(self, polls):
+        self.polls = polls
+
+    def is_set(self):
+        self.polls -= 1
+        return self.polls < 0
+
+
+@pytest.mark.parametrize(
+    "attempt, grid",
+    [(rho_attempt, golden_attempts.FLOYD), (brent_attempt, golden_attempts.BRENT)],
+    ids=["floyd", "brent"],
+)
+def test_attempts_match_recorded_outcomes(attempt, grid):
+    # Budget, cancel cadence, batch gcd and collapsed-batch replay all show
+    # in (kind, iterations, factor); the grid holds every kind.
+    assert len(grid) >= 200
+    assert {row[6] for row in grid} == {FACTOR, NO_FACTOR_CYCLE, BUDGET_EXHAUSTED, CANCELLED}
+    for n, c, x0, max_iters, gcd_batch, cancel_after, *want in grid:
+        cancel = None if cancel_after is None else _CancelAfter(cancel_after)
+        out = attempt(n, RhoParams(c, x0, max_iters, gcd_batch), cancel)
+        assert [out.kind, out.iterations, out.factor] == want, (n, c, x0, max_iters, gcd_batch)

@@ -47,9 +47,9 @@ def test_sieve_rejects_bad_limits():
 
 def test_prime_table_membership():
     table = sieve(100)
-    assert 97 in table
-    assert 91 not in table
-    assert 0 not in table
+    assert 97 in table.primes
+    assert 91 not in table.primes
+    assert 0 not in table.primes
 
 
 def test_trial_divide_one():
@@ -83,7 +83,7 @@ def test_trial_divide_random_reconstruction(table_1e6):
         factors, cofactor = trial_divide(n, table_1e6)
         prod = cofactor
         for p, k in factors.items():
-            assert p in table_1e6
+            assert p in table_1e6.primes
             prod *= p**k
         assert prod == n
         if cofactor > 1:

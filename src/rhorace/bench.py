@@ -109,7 +109,9 @@ class BenchSuite:
     def ensure_inputs(self) -> "BenchSuite":
         for digits in self.digit_classes:
             if digits not in self.inputs:
-                small = self.small_factor_digits or _small_digits_for(digits)
+                small = self.small_factor_digits
+                if small is None:
+                    small = _small_digits_for(digits)
                 self.inputs[digits] = [
                     gen_input(digits, small, _derive_seed(self.seed, digits, i))
                     for i in range(self.numbers_per_class)

@@ -45,7 +45,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_factor.add_argument("--workers", type=int, default=0, help="race width (0 = all cores)")
     p_factor.add_argument("--seed", type=int, default=0)
     p_factor.add_argument("--json", action="store_true", help="emit a JSON object")
-    p_factor.add_argument("--detector", choices=["floyd", "brent"], default="floyd")
+    p_factor.add_argument(
+        "--detector",
+        choices=sorted(race_mod.DETECTORS),
+        default=RaceConfig.detector,
+        help="cycle detector (default: %(default)s)",
+    )
     p_factor.add_argument("--max-iters", type=int, default=None, help="per-attempt budget")
     p_factor.add_argument("--gcd-batch", type=int, default=rho_mod.DEFAULT_GCD_BATCH)
     p_factor.set_defaults(func=cmd_factor)
@@ -142,7 +147,9 @@ def cmd_gen(args) -> int:
 def cmd_bench(args) -> int:
     classes = args.classes or ([50, 100, 200] if args.full else list(DESK_CLASSES))
     workers = args.workers or [1, 2, 4]
-    small = args.small_digits or (10 if args.full else None)
+    small = args.small_digits
+    if small is None and args.full:
+        small = 10
     suite = BenchSuite(
         digit_classes=classes,
         numbers_per_class=args.per_class,

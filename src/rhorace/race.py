@@ -13,7 +13,10 @@ constants 1, 2, 3, ... in the first round, seeded draws after that.
 _run_round races any list of RhoParams it is given, one per worker.
 
 A race with workers=1 runs inline in the calling process and is byte-for-byte
-a direct rho_attempt call, which keeps single-worker runs reproducible.
+a direct call of the configured detector, which keeps single-worker runs
+reproducible.  The default detector is Brent's (rho.brent_attempt): it finds
+a factor with fewer modular multiplications than Floyd's pairing, which
+stays available as detector="floyd".
 """
 
 from __future__ import annotations
@@ -58,7 +61,7 @@ class RaceConfig:
     seed: int = 0
     max_iters: int | None = None
     gcd_batch: int = rho.DEFAULT_GCD_BATCH
-    detector: str = "floyd"
+    detector: str = "brent"
     max_rounds: int = DEFAULT_MAX_ROUNDS
 
     def resolved_workers(self) -> int:

@@ -49,10 +49,14 @@ def _ceil_4th_root(n: int) -> int:
 def default_max_iters(n: int, gcd_batch: int = DEFAULT_GCD_BATCH) -> int:
     """Iteration budget for one attempt on n.
 
-    A successful attempt on a semiprime with smallest factor p needs about
+    Iterations are Floyd iterations for rho_attempt and fast-pointer steps
+    for brent_attempt; Brent needs about twice as many steps as Floyd needs
+    iterations to find the same factor, each step cheaper.  A successful
+    Floyd attempt on a semiprime with smallest factor p needs about
     sqrt(p) <= n**(1/4) iterations, so 8 * ceil(n**(1/4)) catches all but the
-    unluckiest c; the batch factor keeps the bound meaningful when gcds are
-    coarse, and the floor keeps small inputs from starving.
+    unluckiest c, with room for Brent's factor of two; the batch factor keeps
+    the bound meaningful when gcds are coarse, and the floor keeps small
+    inputs from starving.
     """
     return max(_MIN_BUDGET, 8 * _ceil_4th_root(n) * gcd_batch)
 

@@ -5,6 +5,7 @@ the terminal (capture suspended) so a plain pytest run shows the verdicts,
 then asserts.  Tolerances and sizes are pinned in the constants below.
 """
 
+import math
 import multiprocessing
 import os
 import random
@@ -31,6 +32,12 @@ MEDIAN_RATIO_WINDOW = (5.0, 20.0)
 FUZZ_ATTEMPTS = 10_000
 SCHEDULE_INPUTS = 50
 WORKER_COUNTS = (1, 2, 4)
+ITERATION_SPEEDUP_INPUTS = 150
+# Seeds 1-12 (not the test's seed) read 1.96-2.15 for Brent (mean 2.05,
+# sd 0.057) and 1.93-2.05 for Floyd (mean 1.98, sd 0.042) at the default
+# gcd batch; 0.25 covers the worst of them with room to spare, while walks
+# that were not independent would read near 1.
+ITERATION_SPEEDUP_TOLERANCE = 0.25
 
 
 def _report(capsys, number: int, name: str, verdict: str, detail: str = ""):
@@ -132,6 +139,40 @@ def test_criterion_4_environment_note(capsys):
         _report(capsys, 4, "measured speedup trend", "SKIP", f"{cores} core(s) available, needs 4")
     else:
         _report(capsys, 4, "measured speedup trend", "RUNS", f"{cores} cores available")
+
+
+def test_criterion_4_iteration_speedup(capsys):
+    """On any core count: the minimum of 4 walks takes ~1/sqrt(4) the iterations.
+
+    Each input runs 8 inline attempts of the default detector with the
+    constants assign_c(8, n); the single-walk cost is the mean of all 8, the
+    4-worker cost the mean of min(walks 0-3) and min(walks 4-7).
+    """
+    attempt = race.DETECTORS[RaceConfig().detector]
+    rng = random.Random(2024)
+    single = quad = 0.0
+    for _ in range(ITERATION_SPEEDUP_INPUTS):
+        p = _random_prime_range(rng, 10**6, 2 * 10**6)
+        q = _random_prime_range(rng, 10**9, 2 * 10**9)
+        n = p * q
+        iters = []
+        for c in race.assign_c(8, n):
+            out = attempt(n, RhoParams.make(n, c, x0=rng.randrange(n)))
+            assert out.found, f"c={c} found no factor of {n}: {out}"
+            iters.append(out.iterations)
+        single += sum(iters) / 8
+        quad += (min(iters[:4]) + min(iters[4:])) / 2
+    measured = single / quad
+    predicted = math.sqrt(4)
+    rows = {(r.digit_class, r.workers): r for r in summarize(reference_records())}
+    reference = "/".join(f"{rows[(d, 4)].speedup_vs_1:.2f}" for d in (50, 100, 200))
+    ok = abs(measured - predicted) <= ITERATION_SPEEDUP_TOLERANCE
+    _report(
+        capsys, 4, "iteration speedup at 4 walks", "PASS" if ok else "FAIL",
+        f"predicted {predicted:.2f}, reference quad/single {reference} at 50/100/200 digits, "
+        f"measured {measured:.2f} over {ITERATION_SPEEDUP_INPUTS} inputs",
+    )
+    assert measured == pytest.approx(predicted, abs=ITERATION_SPEEDUP_TOLERANCE)
 
 
 def test_criterion_5_birthday_scaling(capsys):

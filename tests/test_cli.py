@@ -9,6 +9,7 @@ import pytest
 
 from rhorace import cli
 from rhorace import rho as rho_mod
+from rhorace.race import RaceConfig
 
 
 def run_cli(*argv):
@@ -80,6 +81,11 @@ def test_factor_incomplete_exits_one(capsys):
 def test_factor_brent_detector(capsys):
     assert run_cli("factor", "8051", "--workers", "1", "--detector", "brent") == 0
     assert capsys.readouterr().out == "83^1\n97^1\n"
+
+
+def test_factor_detector_defaults_to_race_config():
+    args = cli.build_parser().parse_args(["factor", "8051"])
+    assert args.detector == RaceConfig().detector
 
 
 def test_gen_deterministic_and_sized(capsys):
@@ -154,6 +160,7 @@ def test_bench_unwritable_out_exits_one(tmp_path, capsys):
         ["--per-class", "0"],
         ["--classes", "3"],
         ["--classes", "20", "--small-digits", "15"],
+        ["--classes", "12", "--per-class", "1", "--small-digits", "0"],
     ],
 )
 def test_bench_rejects_unbuildable_suites(args, tmp_path, capsys):

@@ -58,14 +58,15 @@ def test_assign_c_exhausts_residues():
         assign_c(1, 2)
 
 
-def test_single_worker_race_is_a_direct_attempt():
+@pytest.mark.parametrize("detector", race.DETECTORS)
+def test_single_worker_race_is_a_direct_attempt(detector):
     # workers=1 runs inline; the outcome must be byte-identical to calling
-    # the attempt with the same derived parameters.
-    config = RaceConfig(workers=1, seed=9)
+    # the detector with the same derived parameters.
+    config = RaceConfig(workers=1, seed=9, detector=detector)
     outcome = race_factor(8051, config)
     rng = random.Random(9)
     x0 = rng.randrange(8051)
-    direct = rho_attempt(8051, RhoParams.make(8051, c=1, x0=x0))
+    direct = race.DETECTORS[detector](8051, RhoParams.make(8051, c=1, x0=x0))
     assert direct.found
     assert outcome.factor == direct.factor
     assert outcome.per_worker_iterations == [direct.iterations]
@@ -127,10 +128,11 @@ def test_race_rejects_bad_inputs():
 def test_race_retries_with_fresh_constants():
     # A budget too small for round one but workable for some later draw:
     # found by scanning seeds once, then frozen.  workers=1 keeps it exact.
-    config = RaceConfig(workers=1, seed=1, max_iters=64, gcd_batch=16)
-    outcome = race_factor(SEMIPRIME, config)
-    assert outcome.rounds > 1
-    assert SEMIPRIME % outcome.factor == 0
+    for detector, seed in (("floyd", 1), ("brent", 39)):
+        config = RaceConfig(workers=1, seed=seed, max_iters=64, gcd_batch=16, detector=detector)
+        outcome = race_factor(SEMIPRIME, config)
+        assert outcome.rounds > 1
+        assert SEMIPRIME % outcome.factor == 0
 
 
 def test_race_exhaustion_raises():

@@ -1,11 +1,13 @@
 """Parallel integer factorization: Pollard's rho raced across cores.
 
-The public surface mirrors the pipeline stages: numeric primitives, the
-sieve pre-pass, single rho attempts, the multi-worker race, the recursive
-factorization driver, and the benchmark harness.
+The public surface names what users call, stage by stage: the primality
+test, the sieve pre-pass, single rho attempts, the multi-worker race, the
+recursive factorization driver with its verifier, and the benchmark
+harness.  Helpers below that (the decimal wire format, the CSV writers and
+their record types, the plot script) stay importable from their modules.
 """
 
-from .numeric import gcd, is_probable_prime, parse_natural, render_natural
+from .numeric import is_probable_prime
 from .sieve import PrimeTable, sieve, trial_divide
 from .rho import (
     BUDGET_EXHAUSTED,
@@ -16,7 +18,6 @@ from .rho import (
     RhoParams,
     brent_attempt,
     default_max_iters,
-    floyd_cycle_index,
     rho_attempt,
 )
 from .race import FactorSearchExhausted, RaceConfig, RaceOutcome, race_factor
@@ -27,25 +28,12 @@ from .pipeline import (
     factorize,
     verify,
 )
-from .bench import (
-    BenchRecord,
-    BenchSuite,
-    SummaryRow,
-    gen_input,
-    run_suite,
-    summarize,
-    write_plot_script,
-    write_records_csv,
-    write_summary_csv,
-)
+from .bench import BenchSuite, gen_input, run_suite, summarize
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "gcd",
     "is_probable_prime",
-    "parse_natural",
-    "render_natural",
     "PrimeTable",
     "sieve",
     "trial_divide",
@@ -57,7 +45,6 @@ __all__ = [
     "RhoParams",
     "brent_attempt",
     "default_max_iters",
-    "floyd_cycle_index",
     "rho_attempt",
     "FactorSearchExhausted",
     "RaceConfig",
@@ -68,14 +55,9 @@ __all__ = [
     "PipelineStats",
     "factorize",
     "verify",
-    "BenchRecord",
     "BenchSuite",
-    "SummaryRow",
     "gen_input",
     "run_suite",
     "summarize",
-    "write_plot_script",
-    "write_records_csv",
-    "write_summary_csv",
     "__version__",
 ]

@@ -92,7 +92,9 @@ def gen_input(digits: int, small_factor_digits: int = 10, seed: int = 0) -> int:
 
 
 def _small_digits_for(digits: int) -> int:
-    return min(8, max(6, digits // 5))
+    # At least 7 digits, so the planted prime survives the 10**6 pre-pass
+    # and every desk class races; at most digits // 2, so small classes build.
+    return min(8, max(7, digits // 5), digits // 2)
 
 
 @dataclass
@@ -117,15 +119,6 @@ class BenchSuite:
                     for i in range(self.numbers_per_class)
                 ]
         return self
-
-    def cells(self) -> list[tuple[int, int, int]]:
-        """(digit_class, workers, input_index) grid in run order."""
-        return [
-            (digits, workers, idx)
-            for digits in self.digit_classes
-            for workers in self.worker_counts
-            for idx in range(self.numbers_per_class)
-        ]
 
 
 @dataclass
@@ -246,7 +239,7 @@ def write_summary_csv(rows: list[SummaryRow], path: str) -> None:
 _PLOT_TEMPLATE = '''#!/usr/bin/env python3
 """Plot mean factorization time and speedup per worker count.
 
-Reads @SUMMARY@ (written next to this script) and saves speedup.png
+Reads summary.csv (written next to this script) and saves speedup.png
 alongside it.  The summary is read first; matplotlib is imported only
 to render, and is needed for nothing else in the benchmark.  Without it
 the script exits nonzero with a one-line message (no traceback) that
@@ -259,7 +252,7 @@ from pathlib import Path
 
 here = Path(__file__).resolve().parent
 by_class = defaultdict(list)
-with open(here / "@SUMMARY@", newline="") as fh:
+with open(here / "summary.csv", newline="") as fh:
     for row in csv.DictReader(fh):
         by_class[int(row["digit_class"])].append(
             (int(row["workers"]), float(row["mean_time_s"]), float(row["speedup_vs_1"]))
@@ -273,7 +266,7 @@ try:
 except ImportError:
     n_rows = sum(len(rows) for rows in by_class.values())
     sys.exit(
-        f"read {n_rows} rows from @SUMMARY@; matplotlib is not installed, "
+        f"read {n_rows} rows from summary.csv; matplotlib is not installed, "
         "so speedup.png was not written"
     )
 
@@ -301,7 +294,7 @@ print(f"wrote {here / 'speedup.png'}")
 '''
 
 
-def write_plot_script(path: str, summary_csv_name: str = "summary.csv") -> None:
-    """Emit a standalone matplotlib script next to the summary CSV."""
+def write_plot_script(path: str) -> None:
+    """Emit a standalone matplotlib script next to summary.csv."""
     with open(path, "w") as fh:
-        fh.write(_PLOT_TEMPLATE.replace("@SUMMARY@", summary_csv_name))
+        fh.write(_PLOT_TEMPLATE)

@@ -19,7 +19,7 @@ from .bench import BenchSuite, BenchVerificationError, DESK_CLASSES, _derive_see
 from .numeric import gcd, parse_natural, render_natural
 from .pipeline import Factorization, FactorizationIncomplete, factorize, verify
 from .race import RaceConfig
-from .rho import RhoParams, floyd_cycle_index, rho_attempt
+from .rho import RhoParams, rho_attempt
 from .sieve import sieve
 
 
@@ -146,7 +146,7 @@ def cmd_gen(args) -> int:
 
 def cmd_bench(args) -> int:
     classes = args.classes or ([50, 100, 200] if args.full else list(DESK_CLASSES))
-    workers = args.workers or [1, 2, 4]
+    workers = args.workers or list(bench_mod.DEFAULT_WORKER_COUNTS)
     small = args.small_digits
     if small is None and args.full:
         small = 10
@@ -213,10 +213,6 @@ def _selftest_checks(limit: int):
             if gcd(a, b) != want:
                 return f"gcd{(a, b)} != {want}"
 
-    def check_floyd():
-        if floyd_cycle_index(lambda x: (x + 1) % 4, 0) != 4:
-            return "cycle index of x+1 mod 4 is not 4"
-
     def check_rho():
         out = rho_attempt(8051, RhoParams.make(8051, c=1, x0=2, gcd_batch=1))
         if not out.found or out.factor not in (83, 97):
@@ -244,7 +240,6 @@ def _selftest_checks(limit: int):
     return [
         ("sieve-small", check_sieve),
         ("gcd-spots", check_gcd),
-        ("floyd-toy-cycle", check_floyd),
         ("rho-8051", check_rho),
         ("race-single-worker", check_race),
         ("verify-hand-built", check_verify),

@@ -16,6 +16,7 @@ gcd = math.gcd
 # Below this bound the fixed 12-base Miller-Rabin test is exact.
 _MR_EXACT_BOUND = 3_317_044_064_679_887_385_961_981
 _MR_EXACT_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MR_RANDOM_ROUNDS = 25  # seeded random bases at and above the bound
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
@@ -34,16 +35,14 @@ def _mr_witness(a: int, d: int, s: int, n: int) -> bool:
     return True
 
 
-def is_probable_prime(n: int, rounds: int = 25) -> bool:
+def is_probable_prime(n: int) -> bool:
     """Miller-Rabin primality test.
 
-    Exact for n below ~3.3e24 (fixed base set); beyond that it runs `rounds`
-    bases drawn from a generator seeded with n itself, so repeated calls on
-    the same input always agree.  A composite slips through with probability
-    at most 4**-rounds.
+    Exact for n below ~3.3e24 (fixed base set); beyond that it runs 25
+    random bases drawn from a generator seeded with n itself, so repeated
+    calls on the same input always agree.  A composite slips through with
+    probability at most 4**-25.
     """
-    if rounds < 1:
-        raise ValueError("rounds must be >= 1")
     if n < 2:
         return False
     for p in _SMALL_PRIMES:
@@ -58,7 +57,7 @@ def is_probable_prime(n: int, rounds: int = 25) -> bool:
         bases = _MR_EXACT_BASES
     else:
         rng = random.Random(n)
-        bases = tuple(rng.randrange(2, n - 1) for _ in range(rounds))
+        bases = tuple(rng.randrange(2, n - 1) for _ in range(_MR_RANDOM_ROUNDS))
     return not any(_mr_witness(a, d, s, n) for a in bases)
 
 

@@ -8,6 +8,7 @@ split are strictly smaller than what was split, so the stack always shrinks.
 
 from __future__ import annotations
 
+import functools
 import time
 from collections import Counter
 from dataclasses import dataclass, field
@@ -16,15 +17,11 @@ from .numeric import is_probable_prime
 from .race import FactorSearchExhausted, RaceConfig, RaceOutcome, race_factor
 from .sieve import DEFAULT_LIMIT, PrimeTable, sieve, trial_divide
 
-_default_table: PrimeTable | None = None
 
-
+@functools.cache
 def default_table() -> PrimeTable:
     """The shared pre-pass table (primes <= 1e6), built once per process."""
-    global _default_table
-    if _default_table is None:
-        _default_table = sieve(DEFAULT_LIMIT)
-    return _default_table
+    return sieve(DEFAULT_LIMIT)
 
 
 @dataclass
@@ -122,7 +119,7 @@ def factorize(
     return Factorization(n, dict(counts), stats)
 
 
-def verify(result: Factorization, rounds: int = 25) -> bool:
+def verify(result: Factorization) -> bool:
     """Recompute both invariants from scratch.
 
     True iff the factors multiply back to the input and every base passes
@@ -135,4 +132,4 @@ def verify(result: Factorization, rounds: int = 25) -> bool:
         prod *= p**k
     if prod != result.input:
         return False
-    return all(is_probable_prime(p, rounds) for p in result.factors)
+    return all(is_probable_prime(p) for p in result.factors)

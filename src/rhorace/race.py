@@ -25,7 +25,7 @@ import multiprocessing
 import os
 import random
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from multiprocessing.connection import wait
 
 from . import rho
@@ -76,10 +76,14 @@ class RaceOutcome:
 
     factor: int
     winner: int
-    per_worker_iterations: list[int]
     wall_time_s: float
-    rounds: int = 1
-    worker_outcomes: list[RhoOutcome] = field(default_factory=list)
+    rounds: int
+    worker_outcomes: list[RhoOutcome]
+
+    @property
+    def per_worker_iterations(self) -> list[int]:
+        """Iterations each worker of the final round ran, by worker index."""
+        return [o.iterations for o in self.worker_outcomes]
 
 
 def assign_c(workers: int, n: int) -> list[int]:
@@ -246,7 +250,6 @@ def race_factor(n: int, config: RaceConfig | None = None) -> RaceOutcome:
             return RaceOutcome(
                 factor=outcomes[winner].factor,
                 winner=winner,
-                per_worker_iterations=[o.iterations for o in outcomes],
                 wall_time_s=time.perf_counter() - start,
                 rounds=round_no + 1,
                 worker_outcomes=outcomes,

@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 from .numeric import gcd
 
@@ -114,24 +113,6 @@ class RhoOutcome:
     @property
     def found(self) -> bool:
         return self.kind == FACTOR
-
-
-def floyd_cycle_index(f: Callable[[int], int], x0: int) -> int:
-    """Smallest i >= 1 with x_i == x_{2i} for the orbit x_{j+1} = f(x_j).
-
-    The tortoise moves one step per round and the hare two, so after i
-    rounds they sit at x_i and x_{2i}; equality is guaranteed to occur once
-    both are inside the orbit's cycle.  Runs forever if f has no cycle
-    reachable from x0 (impossible over a finite domain).
-    """
-    tortoise = f(x0)
-    hare = f(f(x0))
-    i = 1
-    while tortoise != hare:
-        tortoise = f(tortoise)
-        hare = f(f(hare))
-        i += 1
-    return i
 
 
 def _drive(n: int, params: RhoParams, cancel, advance, state) -> RhoOutcome:

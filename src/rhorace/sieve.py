@@ -42,7 +42,7 @@ class PrimeTable:
         ]
 
 
-def sieve(limit: int, memory_cap: int = MEMORY_CAP) -> PrimeTable:
+def sieve(limit: int) -> PrimeTable:
     """All primes <= limit, marking composites from p*p upward in steps of p.
 
     The outer loop stops once p*p exceeds the limit: any composite <= limit
@@ -50,8 +50,8 @@ def sieve(limit: int, memory_cap: int = MEMORY_CAP) -> PrimeTable:
     """
     if limit < 0:
         raise ValueError("limit must be >= 0")
-    if limit > memory_cap:
-        raise ValueError(f"sieve limit {limit} exceeds memory cap {memory_cap}")
+    if limit > MEMORY_CAP:
+        raise ValueError(f"sieve limit {limit} exceeds memory cap {MEMORY_CAP}")
     if limit < 2:
         return PrimeTable(limit, [])
     flags = bytearray([1]) * (limit + 1)

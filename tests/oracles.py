@@ -61,14 +61,3 @@ def trial_divide_scan(n: int, primes: list[int]) -> tuple[dict[int, int], int]:
 
 def primes_upto(limit: int) -> list[int]:
     return [n for n in range(2, limit + 1) if trial_is_prime(n)]
-
-
-def floyd_index_by_enumeration(f, x0: int, cap: int = 10**6) -> int:
-    """Smallest i >= 1 with x_i == x_{2i}, found by materializing the orbit."""
-    xs = [x0]
-    for _ in range(2 * cap):
-        xs.append(f(xs[-1]))
-    for i in range(1, cap + 1):
-        if xs[i] == xs[2 * i]:
-            return i
-    raise AssertionError(f"no meeting index within {cap} steps")

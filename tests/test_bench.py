@@ -1,6 +1,7 @@
 """Benchmark harness tests: input construction, suite runs, summaries."""
 
 import importlib.util
+import math
 import os
 import py_compile
 import subprocess
@@ -25,6 +26,7 @@ from rhorace.bench import (
 from rhorace.numeric import is_probable_prime
 from rhorace.pipeline import factorize
 from rhorace.race import RaceConfig
+from rhorace.sieve import DEFAULT_LIMIT
 
 from reference_times import reference_records
 
@@ -76,13 +78,6 @@ def test_gen_input_rejects_bad_parameters():
         gen_input(20, 11)  # more than digits // 2
 
 
-def test_suite_cells_full_grid_shape():
-    suite = BenchSuite([50, 100, 200], 5, [1, 2, 4], seed=0)
-    assert len(suite.cells()) == 45
-    assert suite.cells()[0] == (50, 1, 0)
-    assert suite.cells()[-1] == (200, 4, 4)
-
-
 def test_suite_inputs_cached_and_seeded():
     suite = BenchSuite([12], 3, [1], seed=8, small_factor_digits=5)
     suite.ensure_inputs()
@@ -92,6 +87,18 @@ def test_suite_inputs_cached_and_seeded():
     assert len(set(first)) == 3  # derived seeds differ per index
     twin = BenchSuite([12], 3, [1], seed=8, small_factor_digits=5).ensure_inputs()
     assert twin.inputs == suite.inputs
+
+
+def test_desk_classes_plant_primes_above_the_prepass():
+    # A planted prime under the pre-pass limit is stripped by trial division,
+    # and the class then never races.
+    suite = BenchSuite(bench.DESK_CLASSES, 5, seed=0).ensure_inputs()
+    for digits in bench.DESK_CLASSES:
+        small = bench._small_digits_for(digits)
+        for i, n in enumerate(suite.inputs[digits]):
+            parts = _gen_parts(digits, small, bench._derive_seed(0, digits, i))
+            assert math.prod(parts) == n
+            assert min(parts) > DEFAULT_LIMIT, (digits, i, parts)
 
 
 def test_run_suite_produces_verified_records(table_1e6):

@@ -188,7 +188,7 @@ def test_selftest_passes(capsys):
     assert run_cli("selftest", "--limit", "2000") == 0
     out = capsys.readouterr().out
     assert "FAIL" not in out
-    assert out.count("PASS") == 7
+    assert out.count("PASS") == 6
     assert "0 failure(s)" in out
 
 

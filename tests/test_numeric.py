@@ -60,11 +60,6 @@ def test_probable_prime_is_deterministic():
     assert [is_probable_prime(p) for _ in range(3)] == [True] * 3
 
 
-def test_probable_prime_rejects_bad_rounds():
-    with pytest.raises(ValueError):
-        is_probable_prime(97, rounds=0)
-
-
 def test_parse_natural_accepts_canonical_strings():
     assert parse_natural("0") == 0
     assert parse_natural("8051") == 8051

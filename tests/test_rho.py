@@ -1,4 +1,4 @@
-"""Single-attempt tests: Floyd detection, both rho variants, recorded outcomes."""
+"""Single-attempt tests: both rho variants and their recorded outcomes."""
 
 import random
 import threading
@@ -15,7 +15,6 @@ from rhorace.rho import (
     RhoParams,
     brent_attempt,
     default_max_iters,
-    floyd_cycle_index,
     rho_attempt,
 )
 
@@ -32,30 +31,6 @@ def _random_semiprime(rng, lo=10**3, hi=10**6):
                 return cand
 
     return draw_prime() * draw_prime()
-
-
-def test_floyd_identity_meets_immediately():
-    assert floyd_cycle_index(lambda x: x, 5) == 1
-
-
-def test_floyd_pure_cycle_of_length_four():
-    assert floyd_cycle_index(lambda x: (x + 1) % 4, 0) == 4
-
-
-def test_floyd_on_rho_walk_matches_enumeration():
-    f = lambda x: (x * x + 1) % 8051
-    assert floyd_cycle_index(f, 2) == oracles.floyd_index_by_enumeration(f, 2, cap=10**4)
-
-
-def test_floyd_random_functions_match_enumeration():
-    rng = random.Random(17)
-    for _ in range(50):
-        size = rng.randint(1, 400)
-        table = [rng.randrange(size) for _ in range(size)]
-        x0 = rng.randrange(size)
-        got = floyd_cycle_index(table.__getitem__, x0)
-        want = oracles.floyd_index_by_enumeration(table.__getitem__, x0, cap=4 * size)
-        assert got == want
 
 
 def test_rho_8051_classic_walk():

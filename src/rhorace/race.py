@@ -4,9 +4,15 @@ Different c values give independent pseudo-random orbits, so their collision
 times are independent draws; racing k of them and keeping the first factor
 collects the minimum.  Worker 0 runs in the calling process and workers
 1..k-1 are forked OS processes (CPython threads cannot run big-int
-arithmetic in parallel), so a k-worker round forks k-1 children.  The worker
-that finds a factor sets a shared event that every attempt polls once per
-gcd batch, which cancels the rest, the caller's own attempt included.
+arithmetic in parallel).  Forking a child costs a few milliseconds before
+its first step, more than many races take, so worker 0 first walks
+SOLO_STEPS steps alone: a race it wins by then forks nothing, and a longer
+one forks the k-1 children at that mark while worker 0 walks on without a
+restart.  Once they exist, a child that finds a factor or raises sets a
+shared event that every child polls once per gcd batch, which cancels the
+rest.  Worker 0 polls once per batch too, but watches the children's
+reports and exit sentinels instead, so it also stops for a child that died
+without reporting; when it finds a factor itself, it sets the event.
 
 race_factor derives each round's RhoParams from its RaceConfig: the
 constants 1, 2, 3, ... in the first round, seeded draws after that.
@@ -24,6 +30,7 @@ from __future__ import annotations
 import multiprocessing
 import os
 import random
+import select
 import time
 from dataclasses import dataclass
 from multiprocessing.connection import wait
@@ -35,6 +42,11 @@ _FORK = multiprocessing.get_context("fork")
 
 DETECTORS = {"floyd": rho.rho_attempt, "brent": rho.brent_attempt}
 DEFAULT_MAX_ROUNDS = 16
+# Worker 0 walks this many steps alone before workers 1..k-1 are forked:
+# 64 batches of 128, about 4 ms of Brent steps on a 21-digit n, a little
+# above the 2-3.5 ms a forked child takes from fork() to its first step.
+SOLO_STEPS = 8192
+_ERROR = "error"
 
 
 class FactorSearchExhausted(Exception):
@@ -133,76 +145,158 @@ def _worker_main(idx, n, params, detector, cancel, queue):
     try:
         out = attempt(n, params, cancel)
     except Exception as exc:  # report instead of hanging the coordinator
-        queue.put((idx, "error", 0, None, repr(exc)))
+        cancel.set()
+        queue.put((idx, _ERROR, 0, None, repr(exc)))
         return
     if out.found:
         cancel.set()
     queue.put((idx, out.kind, out.iterations, out.factor, None))
 
 
-def _run_round(n, params_list, detector):
-    """Race params_list[i] as worker i: 1..k-1 in forked children, 0 here.
+class _Round:
+    """One multi-worker round, seen from the caller, which runs worker 0.
 
-    Returns (outcomes by worker index, index of the first worker whose
-    factor reached the queue, or None).  The worker that finds a factor
-    sets the cancel event, so the others, the caller's own attempt
-    included, stop at their next batch boundary.  A child that exits
-    without reporting fails the round with RuntimeError.  On every way out,
-    errors and KeyboardInterrupt included, children still alive are
-    terminated and all are joined, so no worker computation survives this
-    call.
+    Worker 0 is handed this object as both its cancel event and its report
+    queue.  Until worker 0 has walked SOLO_STEPS steps nothing else exists:
+    its poll only counts steps, and a worker 0 that ends before the mark
+    reports here directly.  The poll at the mark forks workers 1..k-1 with
+    a shared event and queue.  From then on the poll is one select over
+    the queue's reader and the children's sentinels: worker 0 stops once
+    a child reports a factor or an error, or exits without reporting.  It
+    needs no read of the event: a child sets that only just before it
+    reports a factor or an error.
     """
-    cancel = _FORK.Event()
-    queue = _FORK.SimpleQueue()
-    reader = queue._reader  # waitable alongside the process sentinels
-    procs = {
-        i: _FORK.Process(
-            target=_worker_main,
-            args=(i, n, params, detector, cancel, queue),
-            daemon=True,
-        )
-        for i, params in enumerate(params_list)
-        if i > 0
-    }
-    try:
-        for p in procs.values():
+
+    def __init__(self, n, params_list, detector):
+        self.n = n
+        self.params_list = params_list
+        self.detector = detector
+        self.solo_steps = 0
+        self.cancel = None  # the shared event and queue, made at the fork
+        self.queue = None
+        self.reader = None
+        self.procs = {}
+        self.running = {}  # child sentinel -> index, until seen to exit
+        self.results: dict[int, RhoOutcome] = {}
+        self.errors: list[tuple[int, str]] = []
+        self.winner = None
+
+    def is_set(self):
+        """Worker 0's poll, once per gcd batch."""
+        if self.cancel is None:
+            # Worker 0 polls before each batch, and every batch but a
+            # budget's last one is gcd_batch steps long.
+            if self.solo_steps < SOLO_STEPS:
+                self.solo_steps += self.params_list[0].gcd_batch
+                return False
+            self.fork()
+        ready, _, _ = select.select([self.reader, *self.running], [], [], 0)
+        if not ready:
+            return False
+        lost = self._lost(ready)
+        return lost is not None or self.winner is not None or bool(self.errors)
+
+    def set(self):
+        if self.cancel is not None:
+            self.cancel.set()
+
+    def put(self, report):
+        idx, kind, iters, factor, err = report
+        self.results[idx] = RhoOutcome(kind, iters, factor)
+        if err is not None:
+            self.errors.append((idx, err))
+        elif kind == rho.FACTOR and self.winner is None:
+            self.winner = idx
+
+    def fork(self):
+        """Start workers 1..k-1; a no-op once they are started."""
+        if self.cancel is not None:
+            return
+        self.cancel = _FORK.Event()
+        self.queue = _FORK.SimpleQueue()
+        self.reader = self.queue._reader  # waitable alongside the sentinels
+        for i, params in enumerate(self.params_list[1:], start=1):
+            p = _FORK.Process(
+                target=_worker_main,
+                args=(i, self.n, params, self.detector, self.cancel, self.queue),
+                daemon=True,
+            )
+            self.procs[i] = p
             p.start()
-        _worker_main(0, n, params_list[0], detector, cancel, queue)
-        results: dict[int, RhoOutcome] = {}
-        errors: list[tuple[int, str]] = []
-        winner = None
-        running = {p.sentinel: i for i, p in procs.items()}
-        while len(results) < len(params_list):
-            ready = wait([reader, *running])
-            # A child writes its report before it exits, so a child that
-            # has exited while the reader holds nothing more is lost.
-            if reader.poll():
-                idx, kind, iters, factor, err = queue.get()
-                results[idx] = RhoOutcome(kind, iters, factor)
-                if err is not None:
-                    errors.append((idx, err))
-                elif kind == rho.FACTOR and winner is None:
-                    winner = idx
+            self.running[p.sentinel] = i
+
+    def _lost(self, ready):
+        """Read every pending report, then return the index of a child
+        whose sentinel is in ready and that left no report, or None.
+
+        A child writes its report before it exits, so a child that has
+        exited is lost only if the reader holds nothing more from it.
+        Children that did report are forgotten.
+        """
+        while self.reader.poll():
+            self.put(self.queue.get())
+        for sentinel in ready:
+            if sentinel is self.reader:
                 continue
-            for sentinel in ready:
-                idx = running.pop(sentinel)
-                if idx not in results:
-                    procs[idx].join()
-                    raise RuntimeError(
-                        f"race worker {idx} exited with code "
-                        f"{procs[idx].exitcode} without reporting"
-                    )
-        if errors:
-            raise RuntimeError(f"race worker(s) failed: {errors}")
-        return [results[i] for i in range(len(params_list))], winner
-    finally:
-        for p in procs.values():
+            idx = self.running[sentinel]
+            if idx not in self.results:
+                return idx
+            del self.running[sentinel]
+        return None
+
+    def collect(self):
+        """Wait for every child's report; a child lost fails the round."""
+        while len(self.results) < len(self.params_list):
+            idx = self._lost(wait([self.reader, *self.running]))
+            if idx is not None:
+                self.procs[idx].join()
+                raise RuntimeError(
+                    f"race worker {idx} exited with code "
+                    f"{self.procs[idx].exitcode} without reporting"
+                )
+
+    def close(self):
+        """Terminate children still alive and join all of them."""
+        for p in self.procs.values():
             if p.is_alive():
                 p.terminate()
-        for p in procs.values():
+        for p in self.procs.values():
             if p.pid is not None:
                 p.join()
-        queue.close()
+        if self.queue is not None:
+            self.queue.close()
+
+
+def _run_round(n, params_list, detector):
+    """Race params_list[i] as worker i: 0 here, 1..k-1 in forked children.
+
+    Returns (outcomes by worker index, index of the first worker whose
+    factor was reported, or None).  If worker 0 finds a factor within its
+    SOLO_STEPS head start, no child is forked and every other outcome is
+    RhoOutcome(CANCELLED, 0); if it fails within it, the others are forked
+    then.  Once children exist, a worker that finds a factor or raises
+    stops the others at their next batch boundary: the children poll the
+    cancel event it sets, worker 0 the reports.  A worker that raises, or a
+    child that exits without reporting, fails the round with RuntimeError.
+    On every way out, errors and KeyboardInterrupt included, children still
+    alive are terminated and all are joined, so no worker computation
+    survives this call.
+    """
+    this_round = _Round(n, params_list, detector)
+    try:
+        _worker_main(0, n, params_list[0], detector, this_round, this_round)
+        if this_round.results[0].kind != _ERROR:
+            if this_round.winner is None:
+                this_round.fork()
+            if this_round.procs:
+                this_round.collect()
+        if this_round.errors:
+            raise RuntimeError(f"race worker(s) failed: {this_round.errors}")
+        unforked = RhoOutcome(rho.CANCELLED, 0)
+        outcomes = [this_round.results.get(i, unforked) for i in range(len(params_list))]
+        return outcomes, this_round.winner
+    finally:
+        this_round.close()
 
 
 def race_factor(n: int, config: RaceConfig | None = None) -> RaceOutcome:

@@ -286,8 +286,13 @@ def test_criterion_7_determinism_and_schedule_independence(capsys, table_1e6):
     )
 
 
-def test_criterion_8_cancellation_latency(capsys):
-    """Losers stop within batch granularity of the winner, not at budget."""
+def test_criterion_8_cancellation_latency(capsys, monkeypatch):
+    """Losers stop within batch granularity of the winner, not at budget.
+
+    The losers are forked at once: with worker 0's head start, a winner in
+    its first batch would otherwise leave no child to cancel.
+    """
+    monkeypatch.setattr(race, "SOLO_STEPS", 0)
     rng = random.Random(20260814)
     p = _random_prime_digits(rng, 12)
     r = _random_prime_digits(rng, 100)

@@ -6,6 +6,7 @@ import random
 import signal
 import time
 from contextlib import contextmanager
+from dataclasses import replace
 
 import pytest
 
@@ -18,9 +19,22 @@ from rhorace.race import (
     assign_c,
     race_factor,
 )
-from rhorace.rho import CANCELLED, FACTOR, NO_FACTOR_CYCLE, RhoOutcome, RhoParams, rho_attempt
+from rhorace.rho import (
+    BUDGET_EXHAUSTED,
+    CANCELLED,
+    FACTOR,
+    NO_FACTOR_CYCLE,
+    RhoOutcome,
+    RhoParams,
+    brent_attempt,
+    rho_attempt,
+)
 
 SEMIPRIME = 1000003 * 1000033  # both factors just beyond the pre-pass limit
+# 10 x 11 digits: Brent's walk with c=1 takes ~238k steps, far past the mark.
+LONG_SEMIPRIME = 5063259979 * 94887001943
+# 16 x 16 digits: the default budget is hours of Brent steps.
+HARD_SEMIPRIME = 1000000000000037 * 3000000000000037
 
 
 def test_assign_c_sequential_rule():
@@ -162,12 +176,16 @@ def test_race_brent_detector():
     assert 1 < outcome.factor < SEMIPRIME
 
 
+class _Overrun(BaseException):
+    """The deadline's error: not an Exception, so no worker can report it."""
+
+
 @contextmanager
 def _deadline(seconds):
-    """Raise TimeoutError in this process if the block runs past seconds."""
+    """Raise _Overrun in this process if the block runs past seconds."""
 
     def expire(signum, frame):
-        raise TimeoutError(f"still running after {seconds} s")
+        raise _Overrun(f"still running after {seconds} s")
 
     previous = signal.signal(signal.SIGALRM, expire)
     signal.setitimer(signal.ITIMER_REAL, seconds)
@@ -202,6 +220,7 @@ class _CountingFork:
 
 @pytest.mark.parametrize("workers", [1, 2, 3, 4])
 def test_race_forks_one_process_fewer_than_workers(monkeypatch, workers):
+    monkeypatch.setattr(race, "SOLO_STEPS", 0)
     counting = _CountingFork(race._FORK)
     monkeypatch.setattr(race, "_FORK", counting)
     outcome = race_factor(SEMIPRIME, RaceConfig(workers=workers, seed=6))
@@ -211,12 +230,13 @@ def test_race_forks_one_process_fewer_than_workers(monkeypatch, workers):
     assert multiprocessing.active_children() == []
 
 
-def test_race_child_winner_cancels_the_coordinator():
+def test_race_child_winner_cancels_the_coordinator(monkeypatch):
     """Criterion 8 with the planted winner in a forked child, worker 1.
 
     Worker 0 runs in this process; the child's factor must stop it at a
-    batch boundary, not at its budget.
+    batch boundary, not at its budget.  The children are forked at once.
     """
+    monkeypatch.setattr(race, "SOLO_STEPS", 0)
     rng = random.Random(20260814)
     p = _random_prime_digits(rng, 12)
     r = _random_prime_digits(rng, 100)
@@ -245,6 +265,7 @@ def test_race_child_winner_cancels_the_coordinator():
 
 
 def test_race_fails_fast_when_a_child_dies_silently(monkeypatch):
+    monkeypatch.setattr(race, "SOLO_STEPS", 0)
     coordinator = os.getpid()
 
     def exit_in_child(n, params, cancel):
@@ -260,10 +281,12 @@ def test_race_fails_fast_when_a_child_dies_silently(monkeypatch):
 
 
 def test_race_leaves_no_child_when_the_coordinator_is_interrupted(monkeypatch):
+    monkeypatch.setattr(race, "SOLO_STEPS", 0)
     coordinator = os.getpid()
 
     def interrupted_here(n, params, cancel):
         if os.getpid() == coordinator:
+            cancel.is_set()  # worker 0's first poll forks the children
             raise KeyboardInterrupt
         time.sleep(60)  # a child that would outlive the round on its own
         return rho_attempt(n, params, cancel)
@@ -271,4 +294,89 @@ def test_race_leaves_no_child_when_the_coordinator_is_interrupted(monkeypatch):
     monkeypatch.setitem(race.DETECTORS, "interrupted_here", interrupted_here)
     with _deadline(5), pytest.raises(KeyboardInterrupt):
         race_factor(SEMIPRIME, RaceConfig(workers=3, seed=1, detector="interrupted_here"))
+    assert multiprocessing.active_children() == []
+
+
+def test_race_fails_fast_when_a_child_dies_during_worker_0s_walk(monkeypatch):
+    # Worker 0 alone would walk for hours: its own poll must see the child die.
+    coordinator = os.getpid()
+
+    def exit_in_child(n, params, cancel):
+        if os.getpid() != coordinator:
+            os._exit(3)
+        return brent_attempt(n, params, cancel)
+
+    monkeypatch.setitem(race.DETECTORS, "exit_in_child", exit_in_child)
+    config = RaceConfig(workers=2, seed=1, detector="exit_in_child")
+    with _deadline(1), pytest.raises(RuntimeError, match=r"race worker 1 exited with code 3"):
+        race_factor(HARD_SEMIPRIME, config)
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize(
+    "raiser, past_the_mark, forks",
+    [(0, False, 0), (0, True, 2), (1, True, 2)],
+    ids=["worker-0-at-once", "worker-0-after-the-fork", "child"],
+)
+def test_race_fails_fast_when_a_worker_raises(monkeypatch, raiser, past_the_mark, forks):
+    # The others would walk for hours; the error must end the round at once.
+    def raises_in_one_worker(n, params, cancel):
+        if params.c != raiser + 1:  # first-round constants are 1, 2, 3
+            return brent_attempt(n, params, cancel)
+        if past_the_mark:
+            brent_attempt(n, replace(params, max_iters=race.SOLO_STEPS + params.gcd_batch), cancel)
+        raise ValueError("planted")
+
+    counting = _CountingFork(race._FORK)
+    monkeypatch.setattr(race, "_FORK", counting)
+    monkeypatch.setitem(race.DETECTORS, "raises", raises_in_one_worker)
+    config = RaceConfig(workers=3, seed=1, detector="raises")
+    with _deadline(1), pytest.raises(RuntimeError, match=rf"race worker\(s\) failed: \[\({raiser}, "):
+        race_factor(HARD_SEMIPRIME, config)
+    assert counting.starts == forks
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("workers", [2, 3, 4])
+def test_race_forks_only_once_worker_0_passes_the_mark(monkeypatch, workers):
+    counting = _CountingFork(race._FORK)
+    monkeypatch.setattr(race, "_FORK", counting)
+    short = race_factor(SEMIPRIME, RaceConfig(workers=workers, seed=6))
+    assert (short.winner, counting.starts) == (0, 0)
+    assert short.worker_outcomes[1:] == [RhoOutcome(CANCELLED, 0)] * (workers - 1)
+    long = race_factor(LONG_SEMIPRIME, RaceConfig(workers=workers, seed=6))
+    assert long.factor in (5063259979, 94887001943)
+    assert len(long.worker_outcomes) == workers
+    assert counting.starts == (workers - 1) * long.rounds
+    assert multiprocessing.active_children() == []
+
+
+def test_race_worker_0_walks_on_through_the_fork(monkeypatch):
+    # Worker 0 wins before the mark on SEMIPRIME and past it on
+    # LONG_SEMIPRIME, whose children have a one-step budget: they report
+    # and exit at once, which must neither stop worker 0 nor restart it.
+    counting = _CountingFork(race._FORK)
+    monkeypatch.setattr(race, "_FORK", counting)
+    for n, forks in ((SEMIPRIME, 0), (LONG_SEMIPRIME, 2)):
+        params_list = [RhoParams.make(n, 1, x0=5)]
+        params_list += [RhoParams.make(n, c, x0=5, max_iters=1) for c in (2, 3)]
+        outcomes, winner = race._run_round(n, params_list, "brent")
+        assert winner == 0
+        assert outcomes[0] == brent_attempt(n, params_list[0])
+        assert counting.starts == forks
+    assert outcomes[1:] == [RhoOutcome(BUDGET_EXHAUSTED, 1)] * 2
+    assert multiprocessing.active_children() == []
+
+
+def test_race_forks_the_others_when_worker_0_fails_before_the_mark(monkeypatch):
+    counting = _CountingFork(race._FORK)
+    monkeypatch.setattr(race, "_FORK", counting)
+    params_list = [
+        RhoParams.make(SEMIPRIME, 1, x0=5, max_iters=128),
+        RhoParams.make(SEMIPRIME, 2, x0=5),
+    ]
+    outcomes, winner = race._run_round(SEMIPRIME, params_list, "brent")
+    assert counting.starts == 1
+    assert winner == 1
+    assert outcomes == [RhoOutcome(BUDGET_EXHAUSTED, 128), brent_attempt(SEMIPRIME, params_list[1])]
     assert multiprocessing.active_children() == []

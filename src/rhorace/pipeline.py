@@ -4,6 +4,9 @@ factorize() strips small primes by trial division, then keeps a work stack
 of cofactors: anything probably prime is recorded, anything composite is
 split by a race and both parts go back on the stack.  Both parts of every
 split are strictly smaller than what was split, so the stack always shrinks.
+When a race splits m into d and m/d, the race on m/d resumes the workers'
+walks reduced mod m/d instead of starting new ones; d, prime or not, starts
+from fresh constants.
 """
 
 from __future__ import annotations
@@ -94,9 +97,10 @@ def factorize(
     stats.trial_division_s = time.perf_counter() - t0
     counts.update(small)
 
-    stack = [cofactor] if cofactor > 1 else []
+    # Each entry is a cofactor and the walks to race it with, or None.
+    stack = [(cofactor, None)] if cofactor > 1 else []
     while stack:
-        m = stack.pop()
+        m, walks = stack.pop()
         t0 = time.perf_counter()
         prime = is_probable_prime(m)
         stats.primality_s += time.perf_counter() - t0
@@ -105,16 +109,17 @@ def factorize(
             continue
         t0 = time.perf_counter()
         try:
-            outcome = race_factor(m, config)
+            outcome = race_factor(m, config, walks)
         except FactorSearchExhausted as exc:
             stats.race_s += time.perf_counter() - t0
             stats.total_s = time.perf_counter() - t_start
             partial = Factorization(n, dict(counts), stats)
-            raise FactorizationIncomplete(partial, m, [m, *stack]) from exc
+            raise FactorizationIncomplete(partial, m, [m, *(c for c, _ in stack)]) from exc
         stats.race_s += time.perf_counter() - t0
         stats.races.append(outcome)
-        stack.append(outcome.factor)
-        stack.append(m // outcome.factor)
+        d = outcome.factor
+        stack.append((d, None))
+        stack.append((m // d, outcome.walks_over(m // d)))
     stats.total_s = time.perf_counter() - t_start
     return Factorization(n, dict(counts), stats)
 

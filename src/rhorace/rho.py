@@ -16,7 +16,13 @@ genuinely met, which is the one honest no-factor outcome.
 Both detectors run on one driver, _drive, which owns the budget, the cancel
 poll, the batch gcd, the replay and the outcome; a detector supplies only a
 start state and a function that advances its walk by up to a given number
-of steps.
+of steps.  Every outcome carries the Walk it ended in: the detector state,
+the constants and the steps walked over the walk's whole life.  resume
+continues a Walk, and Walk.over reduces one mod a divisor m of its n, as in
+Knuth's rho Algorithm B (TAOCP Vol. 2, 4.5.4, step B3): a walk of x*x + c
+mod n, read mod m, is a walk of x*x + c mod m, so after a split the walk
+goes on over the cofactor instead of starting again.  The budget counts
+over the walk's whole life.
 
 Attempts are deterministic in (n, params).  They may fail to find a factor;
 they never report a wrong one.
@@ -25,7 +31,8 @@ they never report a wrong one.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections.abc import Callable
+from dataclasses import dataclass, field, replace
 
 from .numeric import gcd
 
@@ -98,43 +105,87 @@ class RhoParams:
 
 
 @dataclass(frozen=True)
+class Walk:
+    """Where a walk stopped, ready to resume on its n or on a divisor of it.
+
+    step is the detector's advance factory (_floyd or _brent).  params hold
+    c and x0 as residues mod the n the walk is on now, and max_iters is
+    still the budget of the n it started on.  state is the detector's
+    state: Floyd's (tort, hare), Brent's (x, y, r, k).  walked counts every
+    step of the walk's life, replays included, and the driver starts no
+    batch once walked reaches params.max_iters.
+    """
+
+    step: Callable
+    params: RhoParams
+    state: tuple
+    walked: int
+
+    def over(self, m: int) -> Walk | None:
+        """This walk reduced mod a divisor m of its n, or None if c
+        reduces to 0 or -2 mod m.
+
+        x**2 + c mod n, read mod m, is x**2 + (c mod m) mod m, so the
+        reduced walk is the walk that the same start mod m would have taken.
+        """
+        c = self.params.c % m
+        if c == 0 or c == m - 2:
+            return None
+        params = replace(self.params, c=c, x0=self.params.x0 % m)
+        state = (self.state[0] % m, self.state[1] % m, *self.state[2:])
+        return Walk(self.step, params, state, self.walked)
+
+
+@dataclass(frozen=True)
 class RhoOutcome:
     """Result of one attempt.
 
     kind is one of FACTOR, NO_FACTOR_CYCLE, BUDGET_EXHAUSTED, CANCELLED.
-    iterations counts advances of the primary sequence, including any
-    single-step replay of a collapsed batch.
+    iterations counts advances of the primary sequence in this call,
+    including any single-step replay of a collapsed batch.  walk is where
+    the walk stopped (the lifetime count is walk.walked); it takes no part
+    in equality.
     """
 
     kind: str
     iterations: int
     factor: int | None = None
+    walk: Walk | None = field(default=None, compare=False, repr=False)
 
     @property
     def found(self) -> bool:
         return self.kind == FACTOR
 
 
-def _drive(n: int, params: RhoParams, cancel, advance, state) -> RhoOutcome:
-    """Run one attempt with the walk that advance takes, one batch at a time.
+def _drive(n: int, params: RhoParams, cancel, step, state, walked: int = 0) -> RhoOutcome:
+    """Run one attempt with the walk that step(n, c) takes, one batch at a time.
 
+    The walk starts from state, having walked steps already; the budget
+    params.max_iters counts those too.  step(n, c) returns advance, and
     advance(state, cap) takes at most cap steps from state and returns
     (state, q, steps, met): q is the product mod n of the differences the
     detector compared in those steps (1 if it compared none), and met says
     the two pointers became equal, which ends the walk.  Per batch the
     driver polls cancel, takes one gcd of q, and when that gcd is n replays
     the batch from its start state with advance(state, 1) to find the step
-    where a factor first appeared.
+    where a factor first appeared.  The poll is cancel.poll(steps), steps
+    walked in this call, when cancel has that method, else cancel.is_set().
     """
     if n < 3 or n % 2 == 0:
         raise ValueError(f"attempt expects an odd n >= 3, got {n}")
     params.validate_for(n)
+    advance = step(n, params.c)
+    poll = None
+    if cancel is not None:
+        poll = getattr(cancel, "poll", None) or (lambda steps: cancel.is_set())
     batch = params.gcd_batch
     budget = params.max_iters
-    iters = 0
+    iters = walked
+    kind, factor = BUDGET_EXHAUSTED, None
     while iters < budget:
-        if cancel is not None and cancel.is_set():
-            return RhoOutcome(CANCELLED, iters)
+        if poll is not None and poll(iters - walked):
+            kind = CANCELLED
+            break
         start = state
         state, q, steps, met = advance(state, min(batch, budget - iters))
         iters += steps
@@ -150,24 +201,17 @@ def _drive(n: int, params: RhoParams, cancel, advance, state) -> RhoOutcome:
                 if d != 1:
                     break
         if 1 < d < n:
-            return RhoOutcome(FACTOR, iters, d)
+            kind, factor = FACTOR, d
+            break
         if d == n or met:
             # The pointers met, or the sequence mod n cycled, with no
             # factor on the way: this c is a dud.
-            return RhoOutcome(NO_FACTOR_CYCLE, iters)
-    return RhoOutcome(BUDGET_EXHAUSTED, iters)
+            kind = NO_FACTOR_CYCLE
+            break
+    return RhoOutcome(kind, iters - walked, factor, Walk(step, params, state, iters))
 
 
-def rho_attempt(n: int, params: RhoParams, cancel=None) -> RhoOutcome:
-    """One Floyd-paired rho attempt on n.
-
-    Each iteration advances the tortoise once and the hare twice and folds
-    |tortoise - hare| into the batch product.  cancel is an optional event,
-    polled once per gcd batch, so cancellation latency is bounded by the
-    batch size plus scheduling delay.
-    """
-    c = params.c
-
+def _floyd(n: int, c: int):
     def advance(state, cap):
         tort, hare = state
         q = 1
@@ -181,20 +225,10 @@ def rho_attempt(n: int, params: RhoParams, cancel=None) -> RhoOutcome:
             q = q * (diff if diff > 0 else -diff) % n
         return (tort, hare), q, cap, False
 
-    return _drive(n, params, cancel, advance, (params.x0, params.x0))
+    return advance
 
 
-def brent_attempt(n: int, params: RhoParams, cancel=None) -> RhoOutcome:
-    """Brent-variant attempt: same contract as rho_attempt.
-
-    The walk runs in phases of 2r fast-pointer steps, r doubling each
-    phase: the first r steps are not compared, the last r are compared
-    against x, the value at the phase start.  The slow pointer thus
-    teleports instead of walking, saving a third of the polynomial
-    evaluations.  iterations counts fast-pointer advances.
-    """
-    c = params.c
-
+def _brent(n: int, c: int):
     def advance(state, cap):
         x, y, r, k = state
         q = 1
@@ -213,4 +247,35 @@ def brent_attempt(n: int, params: RhoParams, cancel=None) -> RhoOutcome:
             x, r, k = y, 2 * r, 0
         return (x, y, r, k), q, span, False
 
-    return _drive(n, params, cancel, advance, (params.x0, params.x0, 1, 0))
+    return advance
+
+
+def rho_attempt(n: int, params: RhoParams, cancel=None) -> RhoOutcome:
+    """One Floyd-paired rho attempt on n.
+
+    Each iteration advances the tortoise once and the hare twice and folds
+    |tortoise - hare| into the batch product.  cancel is an optional event,
+    polled once per gcd batch, so cancellation latency is bounded by the
+    batch size plus scheduling delay.
+    """
+    return _drive(n, params, cancel, _floyd, (params.x0, params.x0))
+
+
+def brent_attempt(n: int, params: RhoParams, cancel=None) -> RhoOutcome:
+    """Brent-variant attempt: same contract as rho_attempt.
+
+    The walk runs in phases of 2r fast-pointer steps, r doubling each
+    phase: the first r steps are not compared, the last r are compared
+    against x, the value at the phase start.  The slow pointer thus
+    teleports instead of walking, saving a third of the polynomial
+    evaluations.  iterations counts fast-pointer advances.
+    """
+    return _drive(n, params, cancel, _brent, (params.x0, params.x0, 1, 0))
+
+
+def resume(n: int, walk: Walk, cancel=None) -> RhoOutcome:
+    """Walk on from where walk stopped, on n: its own n, or the divisor
+    that walk.over reduced it to.  Same contract as rho_attempt; the
+    outcome's iterations count only the steps of this call.
+    """
+    return _drive(n, walk.params, cancel, walk.step, walk.state, walk.walked)

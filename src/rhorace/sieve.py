@@ -43,10 +43,11 @@ class PrimeTable:
 
 
 def sieve(limit: int) -> PrimeTable:
-    """All primes <= limit, marking composites from p*p upward in steps of p.
+    """All primes <= limit, marking odd composites from p*p upward in steps of 2p.
 
-    The outer loop stops once p*p exceeds the limit: any composite <= limit
-    has a prime divisor at most sqrt(limit).
+    Only odd candidates get a flag: flags[i] stands for 2*i + 1, and 2 is
+    prepended.  The outer loop stops once p*p exceeds the limit: any
+    composite <= limit has a prime divisor at most sqrt(limit).
     """
     if limit < 0:
         raise ValueError("limit must be >= 0")
@@ -54,14 +55,15 @@ def sieve(limit: int) -> PrimeTable:
         raise ValueError(f"sieve limit {limit} exceeds memory cap {MEMORY_CAP}")
     if limit < 2:
         return PrimeTable(limit, [])
-    flags = bytearray([1]) * (limit + 1)
-    flags[0] = flags[1] = 0
-    p = 2
+    flags = bytearray([1]) * ((limit + 1) // 2)
+    flags[0] = 0  # 1 is not prime
+    p = 3
     while p * p <= limit:
-        if flags[p]:
-            flags[p * p :: p] = bytearray(len(range(p * p, limit + 1, p)))
-        p += 1
-    return PrimeTable(limit, list(itertools.compress(range(limit + 1), flags)))
+        if flags[p // 2]:
+            # The odd multiples of p from p*p on sit p flags apart.
+            flags[p * p // 2 :: p] = bytes(len(range(p * p // 2, len(flags), p)))
+        p += 2
+    return PrimeTable(limit, [2, *itertools.compress(range(1, limit + 1, 2), flags)])
 
 
 def trial_divide(n: int, table: PrimeTable) -> tuple[dict[int, int], int]:

@@ -1,11 +1,14 @@
 """End-to-end factorization tests: pre-pass, recursion, verification."""
 
+import multiprocessing
 import random
 
 import pytest
 
 import oracles
+from rhorace import pipeline, race
 from rhorace.bench import _random_prime_digits
+from rhorace.numeric import is_probable_prime
 from rhorace.pipeline import (
     Factorization,
     FactorizationIncomplete,
@@ -13,6 +16,7 @@ from rhorace.pipeline import (
     verify,
 )
 from rhorace.race import RaceConfig
+from rhorace.rho import resume
 
 CFG1 = RaceConfig(workers=1, seed=0)
 
@@ -140,3 +144,68 @@ def test_verify_checks_primality_not_provenance():
     # verify recomputes from scratch, so even a correctly-multiplying entry
     # with a composite base must fail.
     assert not verify(Factorization(8051 * 2, {2: 1, 8051: 1}))
+
+
+def _record_races(monkeypatch):
+    """(m, walks, outcome) of every race factorize runs, in order."""
+    races = []
+    real = pipeline.race_factor
+
+    def recording(m, config, walks=None):
+        outcome = real(m, config, walks)
+        races.append((m, walks, outcome))
+        return outcome
+
+    monkeypatch.setattr(pipeline, "race_factor", recording)
+    return races
+
+
+def _three_primes(seed, digits):
+    rng = random.Random(seed)
+    primes = sorted(_random_prime_digits(rng, digits) for _ in range(3))
+    return primes, primes[0] * primes[1] * primes[2]
+
+
+@pytest.mark.parametrize("detector", race.DETECTORS)
+def test_factorize_resumes_the_walk_on_the_cofactor(monkeypatch, table_1e6, detector):
+    races = _record_races(monkeypatch)
+    primes, n = _three_primes(8, 8)
+    config = RaceConfig(workers=1, seed=0, detector=detector)
+    result = factorize(n, config, table_1e6)
+    assert _multiset(result.factors) == primes
+    (m1, walks1, first), (m2, walks2, second) = races
+    assert (m1, walks1) == (n, None)
+    assert m2 == n // first.factor
+    # Race 2's worker 0 starts where race 1's walk stopped, reduced mod m2,
+    # and walks on exactly as a direct resume of that walk does.
+    assert walks2 == [first.worker_outcomes[0].walk.over(m2)]
+    assert second.worker_outcomes == [resume(m2, walks2[0])]
+    assert second.worker_outcomes[0].walk.walked == walks2[0].walked + second.per_worker_iterations[0]
+    # Single-worker runs stay reproducible down to their races.
+    again = factorize(n, config, table_1e6)
+    assert [r.worker_outcomes for r in again.stats.races] == [r.worker_outcomes for r in result.stats.races]
+
+
+def test_factorize_resumes_the_forked_workers_walk(monkeypatch, table_1e6):
+    monkeypatch.setattr(race, "SOLO_STEPS", 0)  # both workers walk in every race
+    races = _record_races(monkeypatch)
+    primes, n = _three_primes(5, 10)
+    result = factorize(n, RaceConfig(workers=2, seed=0), table_1e6)
+    assert _multiset(result.factors) == primes
+    (_, _, first), (m2, walks2, second) = races
+    assert first.worker_outcomes[1].walk.walked > 0
+    assert walks2[1] == first.worker_outcomes[1].walk.over(m2)
+    assert second.worker_outcomes[1].walk.walked == walks2[1].walked + second.per_worker_iterations[1]
+    assert multiprocessing.active_children() == []
+
+
+def test_factorize_races_a_composite_factor_from_fresh_constants(monkeypatch, table_1e6):
+    # One batch of 4096 steps sees two of the three 7-digit primes collide.
+    races = _record_races(monkeypatch)
+    primes, n = _three_primes(3, 7)
+    result = factorize(n, RaceConfig(workers=1, seed=0, gcd_batch=4096), table_1e6)
+    assert _multiset(result.factors) == primes
+    (m1, _, first), (m2, walks2, _) = races
+    assert not is_probable_prime(first.factor)
+    assert (m2, walks2) == (first.factor, None)
+    assert multiprocessing.active_children() == []

@@ -29,6 +29,7 @@ from rhorace.rho import (
     brent_attempt,
     rho_attempt,
 )
+from test_rho import _CancelAfter
 
 SEMIPRIME = 1000003 * 1000033  # both factors just beyond the pre-pass limit
 # 10 x 11 digits: Brent's walk with c=1 takes ~238k steps, far past the mark.
@@ -286,7 +287,7 @@ def test_race_leaves_no_child_when_the_coordinator_is_interrupted(monkeypatch):
 
     def interrupted_here(n, params, cancel):
         if os.getpid() == coordinator:
-            cancel.is_set()  # worker 0's first poll forks the children
+            cancel.poll(race.SOLO_STEPS)  # worker 0's poll at the mark forks the children
             raise KeyboardInterrupt
         time.sleep(60)  # a child that would outlive the round on its own
         return rho_attempt(n, params, cancel)
@@ -380,3 +381,126 @@ def test_race_forks_the_others_when_worker_0_fails_before_the_mark(monkeypatch):
     assert winner == 1
     assert outcomes == [RhoOutcome(BUDGET_EXHAUSTED, 128), brent_attempt(SEMIPRIME, params_list[1])]
     assert multiprocessing.active_children() == []
+
+
+def _record_forks(monkeypatch):
+    """The steps worker 0 reported at the poll that forked, one per round."""
+    seen = []
+    poll = race._Round.poll
+
+    def recording(self, steps):
+        forked = self.cancel is not None
+        out = poll(self, steps)
+        if not forked and self.cancel is not None:
+            seen.append(steps)
+        return out
+
+    monkeypatch.setattr(race._Round, "poll", recording)
+    return seen
+
+
+# Brent's phases r = 1..64 take 254 steps in 14 batches, then every batch is
+# 128 steps long: its first batch boundary past the mark is 254 + 51 * 128.
+@pytest.mark.parametrize("detector, fork_at", [("floyd", 52 * 128), ("brent", 254 + 51 * 128)])
+def test_race_forks_at_worker_0s_first_batch_boundary_past_the_mark(monkeypatch, detector, fork_at):
+    assert race.SOLO_STEPS == 52 * 128
+    seen = _record_forks(monkeypatch)
+    attempt = race.DETECTORS[detector]
+    params_list = [
+        RhoParams.make(HARD_SEMIPRIME, 1, x0=5, max_iters=254 + 56 * 128),
+        RhoParams.make(HARD_SEMIPRIME, 2, x0=5, max_iters=1),
+    ]
+    outcomes, winner = race._run_round(HARD_SEMIPRIME, params_list, detector)
+    assert winner is None
+    assert seen == [fork_at]
+    assert outcomes[0] == attempt(HARD_SEMIPRIME, params_list[0])
+    # A resumed walk counts only the steps it walks in this race: past
+    # phase r = 64 its batches are whole, so it forks at the mark itself.
+    # (walked=0 hands it a whole budget again.)
+    walk = outcomes[0].walk
+    outcomes, winner = race._run_round(HARD_SEMIPRIME, [replace(walk, walked=0), params_list[1]], detector)
+    assert seen == [fork_at, race.SOLO_STEPS]
+    assert outcomes[0].iterations == 254 + 56 * 128
+    assert multiprocessing.active_children() == []
+
+
+def test_race_resumes_each_worker_and_reports_its_end_state(monkeypatch):
+    # Two walks of a first race on n, reduced mod a cofactor m, race m
+    # again; every worker is forked at once, so both walk in both races.
+    monkeypatch.setattr(race, "SOLO_STEPS", 0)
+    p = 5063259979
+    n = p * LONG_SEMIPRIME
+    config = RaceConfig(workers=2, seed=6)
+    first = race_factor(n, config)
+    assert multiprocessing.active_children() == []
+    m = n // first.factor
+    walks = first.walks_over(m)
+    for out, walk in zip(first.worker_outcomes, walks):
+        assert out.kind in (FACTOR, CANCELLED)
+        assert walk == out.walk.over(m)
+    second = race_factor(m, config, walks)
+    assert m % second.factor == 0
+    assert second.rounds == 1
+    for out, walk in zip(second.worker_outcomes, walks):
+        assert out.walk.walked == walk.walked + out.iterations
+        assert out.walk.params == walk.params
+    assert multiprocessing.active_children() == []
+
+
+def test_race_ends_a_walk_whose_lifetime_budget_runs_out_mid_race(monkeypatch):
+    monkeypatch.setattr(race, "SOLO_STEPS", 0)
+    tired = brent_attempt(LONG_SEMIPRIME, RhoParams.make(LONG_SEMIPRIME, 2, x0=5), _CancelAfter(20))
+    assert tired.kind == CANCELLED
+    budget = tired.walk.params.max_iters
+    tired_walk = replace(tired.walk, walked=budget - 512)
+    winner_walk = RhoParams.make(LONG_SEMIPRIME, 1, x0=5)
+    outcomes, winner = race._run_round(LONG_SEMIPRIME, [winner_walk, tired_walk], "brent")
+    assert winner == 0
+    assert outcomes[1] == RhoOutcome(BUDGET_EXHAUSTED, 512)
+    assert outcomes[1].walk.walked == budget
+    assert multiprocessing.active_children() == []
+
+
+def test_unforked_worker_keeps_the_walk_it_was_handed():
+    walk = brent_attempt(SEMIPRIME, RhoParams.make(SEMIPRIME, 2, x0=5), _CancelAfter(3)).walk
+    outcomes, winner = race._run_round(SEMIPRIME, [RhoParams.make(SEMIPRIME, 1, x0=5), walk], "brent")
+    assert winner == 0
+    assert outcomes[1] == RhoOutcome(CANCELLED, 0)
+    assert outcomes[1].walk == walk
+
+
+def test_walks_over_carries_only_walks_that_can_go_on():
+    n = 1000003 * 1000033 * 1000037
+    m = n // 1000003
+
+    def walk(c):
+        return brent_attempt(n, RhoParams.make(n, c, x0=7), _CancelAfter(2)).walk
+
+    outcomes = [
+        RhoOutcome(FACTOR, 9, 1000003, walk(1)),
+        RhoOutcome(CANCELLED, 8, None, walk(2)),
+        RhoOutcome(CANCELLED, 0),  # never forked, handed no walk
+        RhoOutcome(NO_FACTOR_CYCLE, 8, None, walk(3)),
+        RhoOutcome(BUDGET_EXHAUSTED, 8, None, walk(4)),
+        RhoOutcome(CANCELLED, 8, None, walk(m - 2)),  # c = -2 mod m
+    ]
+    won = RaceOutcome(1000003, 0, 0.1, 1, outcomes)
+    assert won.walks_over(m) == [walk(1).over(m), walk(2).over(m), None, None, None, None]
+    lost = RaceOutcome(1000003, 1, 0.1, 1, outcomes[2:])
+    assert lost.walks_over(m) is None
+
+
+def test_race_draws_fresh_constants_for_a_worker_handed_no_walk():
+    # As a retry round draws them: seeded, not the first round's 1, 2, 3.
+    config = RaceConfig(workers=1, seed=9)
+    outcome = race_factor(SEMIPRIME, config, [None])
+    rng = random.Random(9)
+    (c,) = race._draw_distinct_c(rng, SEMIPRIME, 1, set())
+    params = RhoParams.make(SEMIPRIME, c, x0=rng.randrange(SEMIPRIME))
+    assert outcome.worker_outcomes[0].walk.params == params
+    assert outcome.worker_outcomes == [brent_attempt(SEMIPRIME, params)]
+
+
+def test_race_rejects_a_walk_list_of_the_wrong_length():
+    with pytest.raises(ValueError, match="expected 2 walks"):
+        race_factor(SEMIPRIME, RaceConfig(workers=2), [None])

@@ -12,9 +12,12 @@ from rhorace.rho import (
     CANCELLED,
     FACTOR,
     NO_FACTOR_CYCLE,
+    RhoOutcome,
     RhoParams,
+    Walk,
     brent_attempt,
     default_max_iters,
+    resume,
     rho_attempt,
 )
 
@@ -218,3 +221,58 @@ def test_attempts_match_recorded_outcomes(attempt, grid):
         cancel = None if cancel_after is None else _CancelAfter(cancel_after)
         out = attempt(n, RhoParams(c, x0, max_iters, gcd_batch), cancel)
         assert [out.kind, out.iterations, out.factor] == want, (n, c, x0, max_iters, gcd_batch)
+
+
+@pytest.mark.parametrize("attempt", [rho_attempt, brent_attempt], ids=["floyd", "brent"])
+def test_resumed_walk_matches_one_uninterrupted_walk(attempt):
+    # Stop a walk at a batch boundary, resume it: the same outcome, the
+    # same end state and, over both calls, the same steps as one walk.
+    rng = random.Random(20261018)
+    stopped = 0
+    for _ in range(60):
+        n = _random_semiprime(rng)
+        batch = rng.choice([1, 3, 16, 128])
+        params = _params(n, c=rng.randrange(1, n - 2), x0=rng.randrange(n), gcd_batch=batch)
+        whole = attempt(n, params)
+        first = attempt(n, params, _CancelAfter(rng.randrange(1, 8)))
+        if first.kind != CANCELLED:
+            assert first == whole
+            continue
+        stopped += 1
+        assert first.walk.walked == first.iterations
+        rest = resume(n, first.walk)
+        assert (rest.kind, rest.factor) == (whole.kind, whole.factor)
+        assert first.iterations + rest.iterations == whole.iterations
+        assert rest.walk == whole.walk
+    assert stopped >= 20
+
+
+@pytest.mark.parametrize("attempt", [rho_attempt, brent_attempt], ids=["floyd", "brent"])
+def test_resumed_walk_spends_only_what_is_left_of_its_budget(attempt):
+    n = 1000000000000037 * 3000000000000037  # no factor within the budget
+    params = RhoParams.make(n, c=1, x0=2, max_iters=1000, gcd_batch=16)
+    first = attempt(n, params, _CancelAfter(10))
+    assert first.kind == CANCELLED
+    out = resume(n, Walk(first.walk.step, params, first.walk.state, 960))
+    assert out == RhoOutcome(BUDGET_EXHAUSTED, 40)
+    assert out.walk.walked == 1000
+    spent = resume(n, out.walk)
+    assert spent == RhoOutcome(BUDGET_EXHAUSTED, 0)
+
+
+def test_walk_over_a_divisor_is_the_walk_mod_that_divisor():
+    p, q = 1000003, 1000033
+    n = p * q * 1000037
+    m = q * 1000037
+    params = RhoParams.make(n, c=m + 5, x0=n - 1)
+    walk = brent_attempt(n, params, _CancelAfter(3)).walk
+    reduced = walk.over(m)
+    assert reduced.params == RhoParams(5, (n - 1) % m, params.max_iters, params.gcd_batch)
+    assert reduced.state == (walk.state[0] % m, walk.state[1] % m, *walk.state[2:])
+    assert reduced.walked == walk.walked
+    # The walk mod m is the walk a start of x0 mod m takes with c mod m.
+    direct = brent_attempt(m, reduced.params, _CancelAfter(3)).walk
+    assert direct.state == reduced.state
+    # c congruent to 0 or -2 mod m gives a degenerate polynomial there.
+    for c in (m, 2 * m - 2):
+        assert Walk(walk.step, RhoParams.make(n, c, 0), walk.state, 0).over(m) is None

@@ -8,11 +8,13 @@ arithmetic in parallel).  Forking a child costs a few milliseconds before
 its first step, more than many races take, so worker 0 first walks
 SOLO_STEPS steps alone: a race it wins by then forks nothing, and a longer
 one forks the k-1 children at that mark while worker 0 walks on without a
-restart.  Once they exist, a child that finds a factor or raises sets a
-shared event that every child polls once per gcd batch, which cancels the
-rest.  Worker 0 polls once per batch too, but watches the children's
-reports and exit sentinels instead, so it also stops for a child that died
-without reporting; when it finds a factor itself, it sets the event.
+restart.  Each child gets one duplex pipe to the caller: its report goes
+up, a stop comes down, and either end reads EOF once the other process
+has exited.  Every worker polls once per gcd batch: a child selects on
+its pipe, so it stops when the caller stops it or dies; worker 0 selects
+on the pipes of the children that have not reported, so it stops for a
+child's factor or error, or for a child that died without reporting.
+The first factor found sends a stop down every open pipe.
 
 race_factor derives each round's RhoParams from its RaceConfig: the
 constants 1, 2, 3, ... in the first round, seeded draws after that.  It
@@ -46,7 +48,7 @@ from .rho import RhoOutcome, RhoParams, Walk
 _FORK = multiprocessing.get_context("fork")
 
 DETECTORS = {"floyd": rho.rho_attempt, "brent": rho.brent_attempt}
-DEFAULT_MAX_ROUNDS = 16
+MAX_ROUNDS = 16  # rounds a race tries before FactorSearchExhausted
 # Worker 0 walks this many steps alone before workers 1..k-1 are forked:
 # 52 batches of 128, about 3.3 ms of Brent steps on a 21-digit n, about
 # the 2-3.5 ms a forked child takes from fork() to its first step.  The
@@ -54,7 +56,6 @@ DEFAULT_MAX_ROUNDS = 16
 # 6656 for Floyd, 6782 for a fresh Brent walk, whose first 14 batches
 # (phases r = 1..64) are shorter than 128 steps.
 SOLO_STEPS = 6656
-_ERROR = "error"
 
 
 class FactorSearchExhausted(Exception):
@@ -82,7 +83,6 @@ class RaceConfig:
     max_iters: int | None = None
     gcd_batch: int = rho.DEFAULT_GCD_BATCH
     detector: str = "brent"
-    max_rounds: int = DEFAULT_MAX_ROUNDS
 
     def resolved_workers(self) -> int:
         if self.workers < 0:
@@ -170,117 +170,107 @@ def _walk(n, start, detector, cancel):
     return DETECTORS[detector](n, start, cancel)
 
 
-def _worker_main(idx, n, start, detector, cancel, queue):
+def _child_main(n, start, detector, conn, callers_ends):
+    """A forked worker: walk until done or stopped, then report on conn.
+
+    conn is readable once the caller sends a stop or exits, so the walk
+    polls it once per batch.  The caller's ends of the pipes made so far,
+    this child's own among them, came along with the fork: closing them
+    here lets every child see EOF when the caller dies.
+    """
+    for end in callers_ends:
+        end.close()
     try:
-        out = _walk(n, start, detector, cancel)
+        report = _walk(n, start, detector, lambda steps: bool(select.select([conn], [], [], 0)[0]))
     except Exception as exc:  # report instead of hanging the coordinator
-        cancel.set()
-        queue.put((idx, RhoOutcome(_ERROR, 0), repr(exc)))
-        return
-    if out.found:
-        cancel.set()
-    queue.put((idx, out, None))
+        report = repr(exc)
+    try:
+        conn.send(report)
+    except OSError:
+        pass  # the caller is gone: nobody is left to read the report
 
 
 class _Round:
     """One multi-worker round, seen from the caller, which runs worker 0.
 
-    Worker 0 is handed this object as both its cancel event and its report
-    queue.  Until worker 0 has walked SOLO_STEPS steps in this race nothing
-    else exists: its poll only compares the steps the driver reports, and
-    a worker 0 that ends before the mark reports here directly.  The poll
-    at the mark forks workers 1..k-1 with a shared event and queue, each
-    handed its walk.  From then on the poll is one select over
-    the queue's reader and the children's sentinels: worker 0 stops once
-    a child reports a factor or an error, or exits without reporting.  It
-    needs no read of the event: a child sets that only just before it
-    reports a factor or an error.
+    Worker 0's cancel is this object's poll.  Until worker 0 has walked
+    SOLO_STEPS steps in this race nothing else exists, and the poll only
+    compares the steps the driver reports.  The poll at the mark forks
+    workers 1..k-1, each handed its walk and one end of its own duplex
+    pipe.  From then on the poll is one select over the pipes of the
+    children that have not reported: a child's pipe turns readable when
+    it reports an outcome or an error, or exits without reporting.  The
+    first factor, worker 0's or a child's, sends a stop down every open
+    pipe.  A child's error, or a child lost, raises RuntimeError at once.
     """
 
     def __init__(self, n, starts, detector):
         self.n = n
         self.starts = starts
         self.detector = detector
-        self.cancel = None  # the shared event and queue, made at the fork
-        self.queue = None
-        self.reader = None
+        self.forked = False
         self.procs = {}
-        self.running = {}  # child sentinel -> index, until seen to exit
+        self.pipes = {}  # caller's end -> child index, until that child reports
         self.results: dict[int, RhoOutcome] = {}
-        self.errors: list[tuple[int, str]] = []
         self.winner = None
 
     def poll(self, steps):
         """Worker 0's poll, before each gcd batch; steps is what it has
         walked in this race so far."""
-        if self.cancel is None:
+        if not self.forked:
             if steps < SOLO_STEPS:
                 return False
             self.fork()
-        ready, _, _ = select.select([self.reader, *self.running], [], [], 0)
-        if not ready:
-            return False
-        lost = self._lost(ready)
-        return lost is not None or self.winner is not None or bool(self.errors)
-
-    def set(self):
-        if self.cancel is not None:
-            self.cancel.set()
-
-    def put(self, report):
-        idx, out, err = report
-        self.results[idx] = out
-        if err is not None:
-            self.errors.append((idx, err))
-        elif out.found and self.winner is None:
-            self.winner = idx
+        ready, _, _ = select.select(list(self.pipes), [], [], 0)
+        for conn in ready:
+            self.read(conn)
+        return self.winner is not None
 
     def fork(self):
         """Start workers 1..k-1; a no-op once they are started."""
-        if self.cancel is not None:
+        if self.forked:
             return
-        self.cancel = _FORK.Event()
-        self.queue = _FORK.SimpleQueue()
-        self.reader = self.queue._reader  # waitable alongside the sentinels
+        self.forked = True
         for i, start in enumerate(self.starts[1:], start=1):
+            conn, child_end = _FORK.Pipe()
+            self.pipes[conn] = i
             p = _FORK.Process(
-                target=_worker_main,
-                args=(i, self.n, start, self.detector, self.cancel, self.queue),
+                target=_child_main,
+                args=(self.n, start, self.detector, child_end, list(self.pipes)),
                 daemon=True,
             )
             self.procs[i] = p
             p.start()
-            self.running[p.sentinel] = i
+            child_end.close()
 
-    def _lost(self, ready):
-        """Read every pending report, then return the index of a child
-        whose sentinel is in ready and that left no report, or None.
+    def report(self, idx, out):
+        """Record worker idx's outcome; the first factor stops the rest."""
+        self.results[idx] = out
+        if out.found and self.winner is None:
+            self.winner = idx
+            for conn in self.pipes:
+                try:
+                    conn.send(None)
+                except OSError:
+                    pass  # that child has exited; reading its pipe tells how
 
-        A child writes its report before it exits, so a child that has
-        exited is lost only if the reader holds nothing more from it.
-        Children that did report are forgotten.
-        """
-        while self.reader.poll():
-            self.put(self.queue.get())
-        for sentinel in ready:
-            if sentinel is self.reader:
-                continue
-            idx = self.running[sentinel]
-            if idx not in self.results:
-                return idx
-            del self.running[sentinel]
-        return None
-
-    def collect(self):
-        """Wait for every child's report; a child lost fails the round."""
-        while len(self.results) < len(self.starts):
-            idx = self._lost(wait([self.reader, *self.running]))
-            if idx is not None:
-                self.procs[idx].join()
-                raise RuntimeError(
-                    f"race worker {idx} exited with code "
-                    f"{self.procs[idx].exitcode} without reporting"
-                )
+    def read(self, conn):
+        """Take the report a readable pipe holds; fail on an error or EOF."""
+        idx = self.pipes.pop(conn)
+        try:
+            report = conn.recv()
+        except (EOFError, ConnectionResetError):
+            # Reset, not EOF, when the child exited with the stop unread.
+            self.procs[idx].join()
+            raise RuntimeError(
+                f"race worker {idx} exited with code "
+                f"{self.procs[idx].exitcode} without reporting"
+            ) from None
+        finally:
+            conn.close()
+        if isinstance(report, str):
+            raise RuntimeError(f"race worker(s) failed: {[(idx, report)]}")
+        self.report(idx, report)
 
     def close(self):
         """Terminate children still alive and join all of them."""
@@ -290,8 +280,8 @@ class _Round:
         for p in self.procs.values():
             if p.pid is not None:
                 p.join()
-        if self.queue is not None:
-            self.queue.close()
+        for conn in self.pipes:
+            conn.close()
 
 
 def _run_round(n, starts, detector):
@@ -303,24 +293,25 @@ def _run_round(n, starts, detector):
     If worker 0 finds a factor within its SOLO_STEPS head start, no child is
     forked and every other outcome is RhoOutcome(CANCELLED, 0) carrying the
     Walk it was handed, if any; if it fails within it, the others are
-    forked then.  Once children exist, a worker that finds a factor or raises
-    stops the others at their next batch boundary: the children poll the
-    cancel event it sets, worker 0 the reports.  A worker that raises, or a
-    child that exits without reporting, fails the round with RuntimeError.
-    On every way out, errors and KeyboardInterrupt included, children still
-    alive are terminated and all are joined, so no worker computation
-    survives this call.
+    forked then.  Once children exist, the first factor stops the others
+    at their next batch boundary: worker 0 through its poll, each child
+    through the stop the caller sends down its pipe, which a child's factor
+    reaches through worker 0's next poll.  A child that raises, or exits
+    without reporting, fails the round with RuntimeError; an exception of
+    worker 0 propagates as it is.  On every way out, errors and
+    KeyboardInterrupt included, children still alive are terminated and
+    all are joined, so no worker computation survives this call; if the
+    caller itself is killed, each child reads EOF on its pipe and stops
+    within a batch.
     """
     this_round = _Round(n, starts, detector)
     try:
-        _worker_main(0, n, starts[0], detector, this_round, this_round)
-        if this_round.results[0].kind != _ERROR:
-            if this_round.winner is None:
-                this_round.fork()
-            if this_round.procs:
-                this_round.collect()
-        if this_round.errors:
-            raise RuntimeError(f"race worker(s) failed: {this_round.errors}")
+        this_round.report(0, _walk(n, starts[0], detector, this_round.poll))
+        if this_round.winner is None:
+            this_round.fork()
+        while this_round.pipes:
+            for conn in wait(list(this_round.pipes)):
+                this_round.read(conn)
         outcomes = [
             this_round.results.get(i)
             or RhoOutcome(rho.CANCELLED, 0, walk=start if isinstance(start, Walk) else None)
@@ -342,7 +333,7 @@ def race_factor(
     mod n (RaceOutcome.walks_over) that the first round resumes; a worker
     whose entry is None draws fresh constants, as a retry round does.
     Without walks the first round uses the constants 1, 2, 3, ....  Rounds
-    retry with fresh constants until a factor appears or config.max_rounds
+    retry with fresh constants until a factor appears or MAX_ROUNDS
     rounds have failed, which raises FactorSearchExhausted.
     """
     config = config or RaceConfig()
@@ -351,15 +342,13 @@ def race_factor(
     workers = config.resolved_workers()
     if config.detector not in DETECTORS:
         raise ValueError(f"unknown detector {config.detector!r}")
-    if config.max_rounds < 1:
-        raise ValueError("max_rounds must be >= 1")
     carried = [None] * workers if walks is None else list(walks)
     if len(carried) != workers:
         raise ValueError(f"expected {workers} walks, got {len(carried)}")
     rng = random.Random(config.seed)
     used: set[int] = set()
     start = time.perf_counter()
-    for round_no in range(config.max_rounds):
+    for round_no in range(MAX_ROUNDS):
         used.update(w.params.c for w in carried if w is not None)
         fresh = sum(w is None for w in carried)
         if round_no == 0 and walks is None:
@@ -391,4 +380,4 @@ def race_factor(
                 rounds=round_no + 1,
                 worker_outcomes=outcomes,
             )
-    raise FactorSearchExhausted(n, config.max_rounds)
+    raise FactorSearchExhausted(n, MAX_ROUNDS)

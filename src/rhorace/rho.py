@@ -168,22 +168,20 @@ def _drive(n: int, params: RhoParams, cancel, step, state, walked: int = 0) -> R
     the two pointers became equal, which ends the walk.  Per batch the
     driver polls cancel, takes one gcd of q, and when that gcd is n replays
     the batch from its start state with advance(state, 1) to find the step
-    where a factor first appeared.  The poll is cancel.poll(steps), steps
-    walked in this call, when cancel has that method, else cancel.is_set().
+    where a factor first appeared.  The poll is cancel(steps), with the
+    steps walked in this call, and a true result stops the walk; cancel
+    None never stops it.
     """
     if n < 3 or n % 2 == 0:
         raise ValueError(f"attempt expects an odd n >= 3, got {n}")
     params.validate_for(n)
     advance = step(n, params.c)
-    poll = None
-    if cancel is not None:
-        poll = getattr(cancel, "poll", None) or (lambda steps: cancel.is_set())
     batch = params.gcd_batch
     budget = params.max_iters
     iters = walked
     kind, factor = BUDGET_EXHAUSTED, None
     while iters < budget:
-        if poll is not None and poll(iters - walked):
+        if cancel is not None and cancel(iters - walked):
             kind = CANCELLED
             break
         start = state
@@ -254,9 +252,11 @@ def rho_attempt(n: int, params: RhoParams, cancel=None) -> RhoOutcome:
     """One Floyd-paired rho attempt on n.
 
     Each iteration advances the tortoise once and the hare twice and folds
-    |tortoise - hare| into the batch product.  cancel is an optional event,
-    polled once per gcd batch, so cancellation latency is bounded by the
-    batch size plus scheduling delay.
+    |tortoise - hare| into the batch product.  cancel, if given, is called
+    as cancel(steps) once per gcd batch with the steps walked so far in
+    this call, and the attempt stops as cancelled when it returns true, so
+    cancellation latency is bounded by the batch size plus scheduling
+    delay.
     """
     return _drive(n, params, cancel, _floyd, (params.x0, params.x0))
 

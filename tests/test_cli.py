@@ -212,9 +212,10 @@ def test_selftest_rejects_bad_limit(capsys):
     assert run_cli("selftest", "--limit", "0") == 2
 
 
-def test_module_entry_point():
+def test_module_entry_point(src_env):
     proc = subprocess.run(
         [sys.executable, "-m", "rhorace", "factor", "8051", "--workers", "1"],
+        env=src_env,
         capture_output=True,
         text=True,
         timeout=120,

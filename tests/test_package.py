@@ -1,9 +1,7 @@
 """The package's top-level surface: the names users call, and no more."""
 
-import os
 import subprocess
 import sys
-from pathlib import Path
 
 import rhorace
 from rhorace import bench, numeric
@@ -67,7 +65,7 @@ def test_top_level_names_only_what_users_call():
             assert hasattr(module, name), name
 
 
-def test_import_builds_no_prime_table():
+def test_import_builds_no_prime_table(src_env):
     # The pre-pass table is built on first use, not at import: a fresh
     # interpreter that only imports the package has an empty cache.
     code = (
@@ -75,7 +73,5 @@ def test_import_builds_no_prime_table():
         "from rhorace import pipeline\n"
         "print(pipeline.default_table.cache_info().currsize)\n"
     )
-    src = str(Path(rhorace.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": src}
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    out = subprocess.run([sys.executable, "-c", code], env=src_env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "0"

@@ -105,10 +105,11 @@ def test_factorize_rejects_zero():
         factorize(-8051, CFG1)
 
 
-def test_factorize_incomplete_carries_partial(table_1e6):
+def test_factorize_incomplete_carries_partial(table_1e6, monkeypatch):
     # Strangle the race budget so the two 7-digit primes cannot be split.
+    monkeypatch.setattr(race, "MAX_ROUNDS", 2)
     n = 2**5 * 10000019 * 10000079
-    config = RaceConfig(workers=1, seed=0, max_iters=4, gcd_batch=4, max_rounds=2)
+    config = RaceConfig(workers=1, seed=0, max_iters=4, gcd_batch=4)
     with pytest.raises(FactorizationIncomplete) as exc_info:
         factorize(n, config, table_1e6)
     err = exc_info.value

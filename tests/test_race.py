@@ -4,9 +4,12 @@ import multiprocessing
 import os
 import random
 import signal
+import subprocess
+import sys
 import time
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -136,8 +139,6 @@ def test_race_rejects_bad_inputs():
         race_factor(1, RaceConfig(workers=1))
     with pytest.raises(ValueError):
         race_factor(8051, RaceConfig(workers=1, detector="nope"))
-    with pytest.raises(ValueError):
-        race_factor(8051, RaceConfig(workers=1, max_rounds=0))
 
 
 def test_race_retries_with_fresh_constants():
@@ -150,8 +151,9 @@ def test_race_retries_with_fresh_constants():
         assert SEMIPRIME % outcome.factor == 0
 
 
-def test_race_exhaustion_raises():
-    config = RaceConfig(workers=1, seed=0, max_iters=8, gcd_batch=8, max_rounds=4)
+def test_race_exhaustion_raises(monkeypatch):
+    monkeypatch.setattr(race, "MAX_ROUNDS", 4)
+    config = RaceConfig(workers=1, seed=0, max_iters=8, gcd_batch=8)
     with pytest.raises(FactorSearchExhausted) as exc_info:
         race_factor(SEMIPRIME, config)
     assert exc_info.value.n == SEMIPRIME
@@ -165,7 +167,8 @@ def test_race_exhaustion_when_constants_run_out(monkeypatch):
         return RhoOutcome(NO_FACTOR_CYCLE, 1)
 
     monkeypatch.setitem(race.DETECTORS, "never_finds", never_finds)
-    config = RaceConfig(workers=1, detector="never_finds", max_rounds=16)
+    monkeypatch.setattr(race, "MAX_ROUNDS", 16)
+    config = RaceConfig(workers=1, detector="never_finds")
     with pytest.raises(FactorSearchExhausted) as exc_info:
         race_factor(5, config)
     assert exc_info.value.rounds == 3
@@ -287,7 +290,7 @@ def test_race_leaves_no_child_when_the_coordinator_is_interrupted(monkeypatch):
 
     def interrupted_here(n, params, cancel):
         if os.getpid() == coordinator:
-            cancel.poll(race.SOLO_STEPS)  # worker 0's poll at the mark forks the children
+            cancel(race.SOLO_STEPS)  # worker 0's poll at the mark forks the children
             raise KeyboardInterrupt
         time.sleep(60)  # a child that would outlive the round on its own
         return rho_attempt(n, params, cancel)
@@ -314,13 +317,100 @@ def test_race_fails_fast_when_a_child_dies_during_worker_0s_walk(monkeypatch):
     assert multiprocessing.active_children() == []
 
 
+def test_race_reports_a_child_lost_after_the_stop_was_sent(monkeypatch):
+    # Worker 0 wins in its first batch and sends the stop; the children exit
+    # with it unread, which resets their pipes rather than closing them.
+    monkeypatch.setattr(race, "SOLO_STEPS", 0)
+    coordinator = os.getpid()
+    rng = random.Random(20261019)
+    p = _random_prime_digits(rng, 12)
+    n = p * _random_prime_digits(rng, 30)
+
+    def exit_late_in_child(n, params, cancel):
+        if os.getpid() != coordinator:
+            time.sleep(0.3)
+            os._exit(3)
+        return rho_attempt(n, params, cancel)
+
+    monkeypatch.setitem(race.DETECTORS, "exit_late_in_child", exit_late_in_child)
+    params_list = [RhoParams.make(n, c, x0=0, gcd_batch=16) for c in (2 * p, 1, 2)]
+    lost = r"race worker [12] exited with code 3 without reporting"
+    with _deadline(5), pytest.raises(RuntimeError, match=lost):
+        race._run_round(n, params_list, "exit_late_in_child")
+    assert multiprocessing.active_children() == []
+
+
+_ANNOUNCE_CHILDREN = f"""
+import multiprocessing
+from rhorace import RaceConfig, factorize, race
+
+fork = race._Round.fork
+
+def announce(self):
+    fork(self)
+    print(*(p.pid for p in multiprocessing.active_children()), flush=True)
+
+race._Round.fork = announce
+factorize({HARD_SEMIPRIME}, RaceConfig(workers=3))
+"""
+
+
+def _gone(pid):
+    """True once pid has exited: no such process, or a zombie."""
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return True
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except OSError:
+        return True
+    return stat.rsplit(")", 1)[1].split()[0] == "Z"
+
+
+@pytest.mark.parametrize("sig", [signal.SIGTERM, signal.SIGKILL], ids=["SIGTERM", "SIGKILL"])
+def test_no_child_outlives_a_killed_caller(sig, src_env):
+    # The caller's try/finally cannot run on these signals: each child must
+    # see its pipe close and stop by itself.
+    caller = subprocess.Popen(
+        [sys.executable, "-c", _ANNOUNCE_CHILDREN], env=src_env, stdout=subprocess.PIPE, text=True
+    )
+    pids = []
+    try:
+        with _deadline(20):
+            pids = [int(pid) for pid in caller.stdout.readline().split()]
+            assert len(pids) == 2
+            time.sleep(0.5)  # both children are walking
+            caller.send_signal(sig)
+            caller.wait()
+            give_up = time.monotonic() + 2
+            while not all(_gone(pid) for pid in pids) and time.monotonic() < give_up:
+                time.sleep(0.01)
+            assert [pid for pid in pids if not _gone(pid)] == []
+    finally:
+        for pid in pids:
+            if not _gone(pid):
+                with suppress(ProcessLookupError):
+                    os.kill(pid, signal.SIGKILL)
+        caller.kill()
+        caller.wait()
+        caller.stdout.close()
+
+
 @pytest.mark.parametrize(
-    "raiser, past_the_mark, forks",
-    [(0, False, 0), (0, True, 2), (1, True, 2)],
+    "raiser, past_the_mark, forks, error, match",
+    [
+        (0, False, 0, ValueError, "planted"),
+        (0, True, 2, ValueError, "planted"),
+        (1, True, 2, RuntimeError, r"race worker\(s\) failed: \[\(1, "),
+    ],
     ids=["worker-0-at-once", "worker-0-after-the-fork", "child"],
 )
-def test_race_fails_fast_when_a_worker_raises(monkeypatch, raiser, past_the_mark, forks):
+def test_race_fails_fast_when_a_worker_raises(
+    monkeypatch, raiser, past_the_mark, forks, error, match
+):
     # The others would walk for hours; the error must end the round at once.
+    # Worker 0 runs in the caller, so its own exception propagates as it is.
     def raises_in_one_worker(n, params, cancel):
         if params.c != raiser + 1:  # first-round constants are 1, 2, 3
             return brent_attempt(n, params, cancel)
@@ -332,7 +422,7 @@ def test_race_fails_fast_when_a_worker_raises(monkeypatch, raiser, past_the_mark
     monkeypatch.setattr(race, "_FORK", counting)
     monkeypatch.setitem(race.DETECTORS, "raises", raises_in_one_worker)
     config = RaceConfig(workers=3, seed=1, detector="raises")
-    with _deadline(1), pytest.raises(RuntimeError, match=rf"race worker\(s\) failed: \[\({raiser}, "):
+    with _deadline(1), pytest.raises(error, match=match):
         race_factor(HARD_SEMIPRIME, config)
     assert counting.starts == forks
     assert multiprocessing.active_children() == []
@@ -389,9 +479,9 @@ def _record_forks(monkeypatch):
     poll = race._Round.poll
 
     def recording(self, steps):
-        forked = self.cancel is not None
+        forked = self.forked
         out = poll(self, steps)
-        if not forked and self.cancel is not None:
+        if not forked and self.forked:
             seen.append(steps)
         return out
 

@@ -1,7 +1,6 @@
 """Single-attempt tests: both rho variants and their recorded outcomes."""
 
 import random
-import threading
 
 import pytest
 
@@ -116,11 +115,9 @@ def test_rho_found_factors_always_divide(table_1e6):
 
 
 def test_rho_cancel_checked_before_work():
-    cancel = threading.Event()
-    cancel.set()
     out = rho_attempt(8051, _params(8051, c=1, x0=2, gcd_batch=4))
     assert out.found  # no cancel given: normal result
-    out = rho_attempt(8051, _params(8051, c=1, x0=2, gcd_batch=4), cancel=cancel)
+    out = rho_attempt(8051, _params(8051, c=1, x0=2, gcd_batch=4), cancel=lambda steps: True)
     assert out.kind == CANCELLED
     assert out.iterations == 0
     assert out.factor is None
@@ -189,20 +186,18 @@ def test_brent_budget_and_cancel():
     n = 1000003 * 1000033
     out = brent_attempt(n, _params(n, c=1, x0=2, max_iters=40, gcd_batch=16))
     assert out.kind == BUDGET_EXHAUSTED
-    cancel = threading.Event()
-    cancel.set()
-    out = brent_attempt(n, _params(n, c=1, x0=2, gcd_batch=16), cancel=cancel)
+    out = brent_attempt(n, _params(n, c=1, x0=2, gcd_batch=16), cancel=lambda steps: True)
     assert out.kind == CANCELLED
     assert out.iterations == 0
 
 
 class _CancelAfter:
-    """A cancel event that reads as set from poll `polls` + 1 on."""
+    """A cancel that stops the walk from poll `polls` + 1 on."""
 
     def __init__(self, polls):
         self.polls = polls
 
-    def is_set(self):
+    def __call__(self, steps):
         self.polls -= 1
         return self.polls < 0
 

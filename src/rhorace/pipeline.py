@@ -5,8 +5,8 @@ of cofactors: anything probably prime is recorded, anything composite is
 split by a race and both parts go back on the stack.  Both parts of every
 split are strictly smaller than what was split, so the stack always shrinks.
 When a race splits m into d and m/d, the race on m/d resumes the workers'
-walks reduced mod m/d instead of starting new ones; d, prime or not, starts
-from fresh constants.
+walks reduced mod m/d instead of starting new ones, a never-forked worker's
+untouched walk among them; d, prime or not, starts from fresh constants.
 """
 
 from __future__ import annotations

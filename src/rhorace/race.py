@@ -16,20 +16,22 @@ on the pipes of the children that have not reported, so it stops for a
 child's factor or error, or for a child that died without reporting.
 The first factor found sends a stop down every open pipe.
 
-race_factor derives each round's RhoParams from its RaceConfig: the
-constants 1, 2, 3, ... in the first round, seeded draws after that.  It
-can instead be handed one walk per worker to resume (RaceOutcome.walks_over
-gives them for a cofactor of the last race's n); a worker handed none draws
-fresh constants.  _run_round races any list of walks and RhoParams it is
-given, one per worker: worker 0 resumes its walk in the caller, a child is
-handed its walk when it is forked, and every worker's outcome, the
-cancelled ones included, carries the walk it ended in.
+Every worker's start is a rho.Walk.  race_factor starts fresh walks of
+the configured detector (rho.start) from its RaceConfig: the constants
+1, 2, 3, ... in the first round, seeded draws after that.  It can instead
+be handed one walk per worker to resume (RaceOutcome.walks_over gives them
+for a cofactor of the last race's n); a worker handed none gets a fresh
+walk from drawn constants.  _run_round races the walks it is given, one
+per worker, at every worker count: worker 0 resumes its walk in the
+caller, a child is handed its walk when it is forked, and every worker's
+outcome, a never-forked worker's included, carries the walk it ended in.
 
-A race with workers=1 runs inline in the calling process and is byte-for-byte
-a direct call of the configured detector, which keeps single-worker runs
-reproducible.  The default detector is Brent's (rho.brent_attempt): it finds
-a factor with fewer modular multiplications than Floyd's pairing, which
-stays available as detector="floyd".
+With workers=1 the round is worker 0 alone: it forks nothing, its poll
+never stops it, and its outcome is byte-for-byte a direct call of the
+configured detector, which keeps single-worker runs reproducible.  The
+default detector is Brent's (rho.brent_attempt): it finds a factor with
+fewer modular multiplications than Floyd's pairing, which stays available
+as detector="floyd".
 """
 
 from __future__ import annotations
@@ -47,7 +49,7 @@ from .rho import RhoOutcome, RhoParams, Walk
 
 _FORK = multiprocessing.get_context("fork")
 
-DETECTORS = {"floyd": rho.rho_attempt, "brent": rho.brent_attempt}
+DETECTORS = tuple(rho.DETECTORS)
 MAX_ROUNDS = 16  # rounds a race tries before FactorSearchExhausted
 # Worker 0 walks this many steps alone before workers 1..k-1 are forked:
 # 52 batches of 128, about 3.3 ms of Brent steps on a 21-digit n, about
@@ -109,13 +111,14 @@ class RaceOutcome:
         """Each worker's walk reduced mod m, a divisor of n, to race m with.
 
         A walk goes on if it found the factor or was cancelled, both at a
-        batch boundary, or was never forked and keeps the walk it was
-        handed.  None stands for a walk that met its cycle or spent its
-        budget, or whose c reduces to 0 or -2 mod m: that worker draws
+        batch boundary; a worker that was never forked reports its walk
+        cancelled as it was handed over, fresh or carried, so that walk
+        goes on too.  None stands for a walk that met its cycle or spent
+        its budget, or whose c reduces to 0 or -2 mod m: that worker draws
         fresh constants.  Returns None when no walk goes on.
         """
         walks = [
-            o.walk.over(m) if o.walk is not None and o.kind in (rho.FACTOR, rho.CANCELLED) else None
+            o.walk.over(m) if o.kind in (rho.FACTOR, rho.CANCELLED) else None
             for o in self.worker_outcomes
         ]
         return walks if any(w is not None for w in walks) else None
@@ -163,14 +166,7 @@ def _draw_distinct_c(rng: random.Random, n: int, count: int, used: set[int]) -> 
     return out
 
 
-def _walk(n, start, detector, cancel):
-    """One worker's walk: resume a Walk, or start the detector from RhoParams."""
-    if isinstance(start, Walk):
-        return rho.resume(n, start, cancel)
-    return DETECTORS[detector](n, start, cancel)
-
-
-def _child_main(n, start, detector, conn, callers_ends):
+def _child_main(n, walk, conn, callers_ends):
     """A forked worker: walk until done or stopped, then report on conn.
 
     conn is readable once the caller sends a stop or exits, so the walk
@@ -181,7 +177,7 @@ def _child_main(n, start, detector, conn, callers_ends):
     for end in callers_ends:
         end.close()
     try:
-        report = _walk(n, start, detector, lambda steps: bool(select.select([conn], [], [], 0)[0]))
+        report = rho.resume(n, walk, lambda steps: bool(select.select([conn], [], [], 0)[0]))
     except Exception as exc:  # report instead of hanging the coordinator
         report = repr(exc)
     try:
@@ -191,23 +187,23 @@ def _child_main(n, start, detector, conn, callers_ends):
 
 
 class _Round:
-    """One multi-worker round, seen from the caller, which runs worker 0.
+    """One round of a race, seen from the caller, which runs worker 0.
 
-    Worker 0's cancel is this object's poll.  Until worker 0 has walked
-    SOLO_STEPS steps in this race nothing else exists, and the poll only
-    compares the steps the driver reports.  The poll at the mark forks
-    workers 1..k-1, each handed its walk and one end of its own duplex
-    pipe.  From then on the poll is one select over the pipes of the
-    children that have not reported: a child's pipe turns readable when
-    it reports an outcome or an error, or exits without reporting.  The
-    first factor, worker 0's or a child's, sends a stop down every open
+    Worker 0's cancel is this object's poll, at every worker count.
+    Until worker 0 has walked SOLO_STEPS steps in this race nothing else
+    exists, and the poll only compares the steps the driver reports.  The
+    poll at the mark forks workers 1..k-1, each handed its walk and one end
+    of its own duplex pipe; with k=1 it forks nothing.  From then on the
+    poll is one select over the pipes of the children that have not
+    reported, skipped while none is open: a child's pipe turns readable
+    when it reports an outcome or an error, or exits without reporting.
+    The first factor, worker 0's or a child's, sends a stop down every open
     pipe.  A child's error, or a child lost, raises RuntimeError at once.
     """
 
-    def __init__(self, n, starts, detector):
+    def __init__(self, n, walks):
         self.n = n
-        self.starts = starts
-        self.detector = detector
+        self.walks = walks
         self.forked = False
         self.procs = {}
         self.pipes = {}  # caller's end -> child index, until that child reports
@@ -221,9 +217,9 @@ class _Round:
             if steps < SOLO_STEPS:
                 return False
             self.fork()
-        ready, _, _ = select.select(list(self.pipes), [], [], 0)
-        for conn in ready:
-            self.read(conn)
+        if self.pipes:
+            for conn in select.select(list(self.pipes), [], [], 0)[0]:
+                self.read(conn)
         return self.winner is not None
 
     def fork(self):
@@ -231,12 +227,12 @@ class _Round:
         if self.forked:
             return
         self.forked = True
-        for i, start in enumerate(self.starts[1:], start=1):
+        for i, walk in enumerate(self.walks[1:], start=1):
             conn, child_end = _FORK.Pipe()
             self.pipes[conn] = i
             p = _FORK.Process(
                 target=_child_main,
-                args=(self.n, start, self.detector, child_end, list(self.pipes)),
+                args=(self.n, walk, child_end, list(self.pipes)),
                 daemon=True,
             )
             self.procs[i] = p
@@ -284,38 +280,37 @@ class _Round:
             conn.close()
 
 
-def _run_round(n, starts, detector):
-    """Race starts[i] as worker i: 0 here, 1..k-1 in forked children.
+def _run_round(n, walks):
+    """Race walks[i] as worker i: 0 here, 1..k-1 in forked children.
 
-    A start is a Walk to resume or the RhoParams of a fresh walk.  Returns
-    (outcomes by worker index, index of the first worker whose factor was
-    reported, or None); each outcome's walk is where that worker stopped.
-    If worker 0 finds a factor within its SOLO_STEPS head start, no child is
-    forked and every other outcome is RhoOutcome(CANCELLED, 0) carrying the
-    Walk it was handed, if any; if it fails within it, the others are
-    forked then.  Once children exist, the first factor stops the others
-    at their next batch boundary: worker 0 through its poll, each child
-    through the stop the caller sends down its pipe, which a child's factor
-    reaches through worker 0's next poll.  A child that raises, or exits
-    without reporting, fails the round with RuntimeError; an exception of
-    worker 0 propagates as it is.  On every way out, errors and
-    KeyboardInterrupt included, children still alive are terminated and
-    all are joined, so no worker computation survives this call; if the
-    caller itself is killed, each child reads EOF on its pipe and stops
-    within a batch.
+    Every worker count runs here; with one walk, worker 0 walks alone and
+    nothing is forked.  Returns (outcomes by worker index, index of the
+    first worker whose factor was reported, or None); each outcome's walk
+    is where that worker stopped.  If worker 0 finds a factor within its
+    SOLO_STEPS head start, no child is forked and every other outcome is
+    RhoOutcome(CANCELLED, 0) carrying the walk it was handed; if it fails
+    within it, the others are forked then.  Once children exist, the first
+    factor stops the others at their next batch boundary: worker 0 through
+    its poll, each child through the stop the caller sends down its pipe,
+    which a child's factor reaches through worker 0's next poll.  A child
+    that raises, or exits without reporting, fails the round with
+    RuntimeError; an exception of worker 0 propagates as it is.  On every
+    way out, errors and KeyboardInterrupt included, children still alive
+    are terminated and all are joined, so no worker computation survives
+    this call; if the caller itself is killed, each child reads EOF on its
+    pipe and stops within a batch.
     """
-    this_round = _Round(n, starts, detector)
+    this_round = _Round(n, walks)
     try:
-        this_round.report(0, _walk(n, starts[0], detector, this_round.poll))
+        this_round.report(0, rho.resume(n, walks[0], this_round.poll))
         if this_round.winner is None:
             this_round.fork()
         while this_round.pipes:
             for conn in wait(list(this_round.pipes)):
                 this_round.read(conn)
         outcomes = [
-            this_round.results.get(i)
-            or RhoOutcome(rho.CANCELLED, 0, walk=start if isinstance(start, Walk) else None)
-            for i, start in enumerate(starts)
+            this_round.results.get(i) or RhoOutcome(rho.CANCELLED, 0, walk=walk)
+            for i, walk in enumerate(walks)
         ]
         return outcomes, this_round.winner
     finally:
@@ -361,17 +356,12 @@ def race_factor(
         used.update(cs)
         x0s = [rng.randrange(n) for _ in range(fresh)]
         drawn = (
-            RhoParams.make(n, c, x0, config.max_iters, config.gcd_batch)
+            rho.start(config.detector, RhoParams.make(n, c, x0, config.max_iters, config.gcd_batch))
             for c, x0 in zip(cs, x0s)
         )
         starts = [w if w is not None else next(drawn) for w in carried]
         carried = [None] * workers
-        if workers == 1:
-            outcome = _walk(n, starts[0], config.detector, None)
-            outcomes = [outcome]
-            winner = 0 if outcome.found else None
-        else:
-            outcomes, winner = _run_round(n, starts, config.detector)
+        outcomes, winner = _run_round(n, starts)
         if winner is not None:
             return RaceOutcome(
                 factor=outcomes[winner].factor,

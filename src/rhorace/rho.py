@@ -13,16 +13,18 @@ product and a single gcd is taken per batch.  When a whole batch collapses
 the factor that appeared mid-batch is recovered unless the two sequences
 genuinely met, which is the one honest no-factor outcome.
 
-Both detectors run on one driver, _drive, which owns the budget, the cancel
-poll, the batch gcd, the replay and the outcome; a detector supplies only a
-start state and a function that advances its walk by up to a given number
-of steps.  Every outcome carries the Walk it ended in: the detector state,
-the constants and the steps walked over the walk's whole life.  resume
-continues a Walk, and Walk.over reduces one mod a divisor m of its n, as in
-Knuth's rho Algorithm B (TAOCP Vol. 2, 4.5.4, step B3): a walk of x*x + c
-mod n, read mod m, is a walk of x*x + c mod m, so after a split the walk
-goes on over the cofactor instead of starting again.  The budget counts
-over the walk's whole life.
+Every attempt is a Walk driven by resume, the one driver, which owns the
+budget, the cancel poll, the batch gcd, the replay and the outcome.  A
+detector supplies only a start state and a function that advances its walk
+by up to a given number of steps; start(detector, params) makes the fresh
+Walk, and rho_attempt and brent_attempt resume one.  Every outcome carries
+the Walk it ended in: the detector state, the constants and the steps
+walked over the walk's whole life.  resume continues any Walk, and
+Walk.over reduces one mod a divisor m of its n, as in Knuth's rho
+Algorithm B (TAOCP Vol. 2, 4.5.4, step B3): a walk of x*x + c mod n, read
+mod m, is a walk of x*x + c mod m, so after a split the walk goes on over
+the cofactor instead of starting again.  The budget counts over the
+walk's whole life.
 
 Attempts are deterministic in (n, params).  They may fail to find a factor;
 they never report a wrong one.
@@ -157,58 +159,6 @@ class RhoOutcome:
         return self.kind == FACTOR
 
 
-def _drive(n: int, params: RhoParams, cancel, step, state, walked: int = 0) -> RhoOutcome:
-    """Run one attempt with the walk that step(n, c) takes, one batch at a time.
-
-    The walk starts from state, having walked steps already; the budget
-    params.max_iters counts those too.  step(n, c) returns advance, and
-    advance(state, cap) takes at most cap steps from state and returns
-    (state, q, steps, met): q is the product mod n of the differences the
-    detector compared in those steps (1 if it compared none), and met says
-    the two pointers became equal, which ends the walk.  Per batch the
-    driver polls cancel, takes one gcd of q, and when that gcd is n replays
-    the batch from its start state with advance(state, 1) to find the step
-    where a factor first appeared.  The poll is cancel(steps), with the
-    steps walked in this call, and a true result stops the walk; cancel
-    None never stops it.
-    """
-    if n < 3 or n % 2 == 0:
-        raise ValueError(f"attempt expects an odd n >= 3, got {n}")
-    params.validate_for(n)
-    advance = step(n, params.c)
-    batch = params.gcd_batch
-    budget = params.max_iters
-    iters = walked
-    kind, factor = BUDGET_EXHAUSTED, None
-    while iters < budget:
-        if cancel is not None and cancel(iters - walked):
-            kind = CANCELLED
-            break
-        start = state
-        state, q, steps, met = advance(state, min(batch, budget - iters))
-        iters += steps
-        d = gcd(q, n)
-        if d == n:
-            # The whole batch collapsed.  Replay it one gcd per step; the
-            # replayed steps count as iterations too.
-            state = start
-            for _ in range(steps):
-                state, q, _, met = advance(state, 1)
-                iters += 1
-                d = gcd(q, n)
-                if d != 1:
-                    break
-        if 1 < d < n:
-            kind, factor = FACTOR, d
-            break
-        if d == n or met:
-            # The pointers met, or the sequence mod n cycled, with no
-            # factor on the way: this c is a dud.
-            kind = NO_FACTOR_CYCLE
-            break
-    return RhoOutcome(kind, iters - walked, factor, Walk(step, params, state, iters))
-
-
 def _floyd(n: int, c: int):
     def advance(state, cap):
         tort, hare = state
@@ -248,8 +198,74 @@ def _brent(n: int, c: int):
     return advance
 
 
+# Each detector's advance factory, and what follows (x0, x0) in its start
+# state: Floyd's (tort, hare), Brent's (x, y, r, k).
+DETECTORS = {"floyd": (_floyd, ()), "brent": (_brent, (1, 0))}
+
+
+def start(detector: str, params: RhoParams) -> Walk:
+    """A fresh walk of the named detector from params.x0, with walked=0."""
+    step, rest = DETECTORS[detector]
+    return Walk(step, params, (params.x0, params.x0, *rest), 0)
+
+
+def resume(n: int, walk: Walk, cancel=None) -> RhoOutcome:
+    """Walk on from where walk stopped, on n, one batch at a time.
+
+    n is the walk's own n, or the divisor that walk.over reduced it to.
+    The budget walk.params.max_iters counts the walk.walked steps already
+    taken; the outcome's iterations count only the steps of this call.
+    walk.step(n, c) returns advance, and advance(state, cap) takes at most
+    cap steps from state and returns (state, q, steps, met): q is the
+    product mod n of the differences the detector compared in those steps
+    (1 if it compared none), and met says the two pointers became equal,
+    which ends the walk.  Per batch the driver polls cancel, takes one gcd
+    of q, and when that gcd is n replays the batch from its start state
+    with advance(state, 1) to find the step where a factor first appeared.
+    The poll is cancel(steps), with the steps walked in this call, and a
+    true result stops the walk at that batch boundary; cancel None never
+    stops it.
+    """
+    if n < 3 or n % 2 == 0:
+        raise ValueError(f"attempt expects an odd n >= 3, got {n}")
+    params = walk.params
+    params.validate_for(n)
+    advance = walk.step(n, params.c)
+    budget = params.max_iters
+    state = walk.state
+    walked = iters = walk.walked
+    kind, factor = BUDGET_EXHAUSTED, None
+    while iters < budget:
+        if cancel is not None and cancel(iters - walked):
+            kind = CANCELLED
+            break
+        begin = state
+        state, q, steps, met = advance(state, min(params.gcd_batch, budget - iters))
+        iters += steps
+        d = gcd(q, n)
+        if d == n:
+            # The whole batch collapsed.  Replay it one gcd per step; the
+            # replayed steps count as iterations too.
+            state = begin
+            for _ in range(steps):
+                state, q, _, met = advance(state, 1)
+                iters += 1
+                d = gcd(q, n)
+                if d != 1:
+                    break
+        if 1 < d < n:
+            kind, factor = FACTOR, d
+            break
+        if d == n or met:
+            # The pointers met, or the sequence mod n cycled, with no
+            # factor on the way: this c is a dud.
+            kind = NO_FACTOR_CYCLE
+            break
+    return RhoOutcome(kind, iters - walked, factor, replace(walk, state=state, walked=iters))
+
+
 def rho_attempt(n: int, params: RhoParams, cancel=None) -> RhoOutcome:
-    """One Floyd-paired rho attempt on n.
+    """One Floyd-paired rho attempt on n: resume of a fresh Floyd walk.
 
     Each iteration advances the tortoise once and the hare twice and folds
     |tortoise - hare| into the batch product.  cancel, if given, is called
@@ -258,7 +274,7 @@ def rho_attempt(n: int, params: RhoParams, cancel=None) -> RhoOutcome:
     cancellation latency is bounded by the batch size plus scheduling
     delay.
     """
-    return _drive(n, params, cancel, _floyd, (params.x0, params.x0))
+    return resume(n, start("floyd", params), cancel)
 
 
 def brent_attempt(n: int, params: RhoParams, cancel=None) -> RhoOutcome:
@@ -270,12 +286,4 @@ def brent_attempt(n: int, params: RhoParams, cancel=None) -> RhoOutcome:
     teleports instead of walking, saving a third of the polynomial
     evaluations.  iterations counts fast-pointer advances.
     """
-    return _drive(n, params, cancel, _brent, (params.x0, params.x0, 1, 0))
-
-
-def resume(n: int, walk: Walk, cancel=None) -> RhoOutcome:
-    """Walk on from where walk stopped, on n: its own n, or the divisor
-    that walk.over reduced it to.  Same contract as rho_attempt; the
-    outcome's iterations count only the steps of this call.
-    """
-    return _drive(n, walk.params, cancel, walk.step, walk.state, walk.walked)
+    return resume(n, start("brent", params), cancel)

@@ -16,7 +16,7 @@ import pytest
 
 import oracles
 from reference_times import reference_records
-from rhorace import race
+from rhorace import race, rho
 from rhorace.bench import BenchSuite, _random_prime_digits, _random_prime_range, run_suite, summarize
 from rhorace.pipeline import factorize, verify
 from rhorace.race import RaceConfig
@@ -148,7 +148,7 @@ def test_criterion_4_iteration_speedup(capsys):
     constants assign_c(8, n); the single-walk cost is the mean of all 8, the
     4-worker cost the mean of min(walks 0-3) and min(walks 4-7).
     """
-    attempt = race.DETECTORS[RaceConfig().detector]
+    detector = RaceConfig().detector
     rng = random.Random(2024)
     single = quad = 0.0
     for _ in range(ITERATION_SPEEDUP_INPUTS):
@@ -157,7 +157,7 @@ def test_criterion_4_iteration_speedup(capsys):
         n = p * q
         iters = []
         for c in race.assign_c(8, n):
-            out = attempt(n, RhoParams.make(n, c, x0=rng.randrange(n)))
+            out = rho.resume(n, rho.start(detector, RhoParams.make(n, c, x0=rng.randrange(n))))
             assert out.found, f"c={c} found no factor of {n}: {out}"
             iters.append(out.iterations)
         single += sum(iters) / 8
@@ -302,10 +302,11 @@ def test_criterion_8_cancellation_latency(capsys, monkeypatch):
     # worker 0 is a planted winner: from x0=0 with c=2p the whole orbit is
     # 0 mod p, so its first batch gcd already yields p.  The losers' honest
     # search for p would need ~sqrt(p) ~ 5e5 iterations.
-    params_list = [
-        RhoParams.make(n, c, x0=0, max_iters=budget, gcd_batch=batch) for c in (2 * p, 1, 2, 3)
+    walks = [
+        rho.start("floyd", RhoParams.make(n, c, x0=0, max_iters=budget, gcd_batch=batch))
+        for c in (2 * p, 1, 2, 3)
     ]
-    outcomes, winner = race._run_round(n, params_list, "floyd")
+    outcomes, winner = race._run_round(n, walks)
     assert winner == 0
     winner_out = outcomes[0]
     assert winner_out.kind == FACTOR

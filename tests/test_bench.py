@@ -139,6 +139,8 @@ def test_run_suite_mock_counts(monkeypatch):
 
     monkeypatch.setattr(bench, "factorize", fake_factorize)
     monkeypatch.setattr(bench, "verify", lambda result: True)
+    # Enough cores for the grid: the short-cores warning has its own test.
+    monkeypatch.setattr(bench.os, "cpu_count", lambda: 4)
     suite = BenchSuite([50, 100, 200], 5, [1, 2, 4], seed=0, small_factor_digits=10)
     records = run_suite(suite, RaceConfig())
     assert len(records) == 45

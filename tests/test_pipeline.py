@@ -16,7 +16,8 @@ from rhorace.pipeline import (
     verify,
 )
 from rhorace.race import RaceConfig
-from rhorace.rho import resume
+from rhorace.rho import CANCELLED, RhoOutcome, resume
+from test_race import _CountingFork
 
 CFG1 = RaceConfig(workers=1, seed=0)
 
@@ -197,6 +198,26 @@ def test_factorize_resumes_the_forked_workers_walk(monkeypatch, table_1e6):
     assert first.worker_outcomes[1].walk.walked > 0
     assert walks2[1] == first.worker_outcomes[1].walk.over(m2)
     assert second.worker_outcomes[1].walk.walked == walks2[1].walked + second.per_worker_iterations[1]
+    assert multiprocessing.active_children() == []
+
+
+def test_factorize_carries_a_never_forked_workers_walk(monkeypatch, table_1e6):
+    # Worker 0 wins race 1 before the mark, so worker 1 is never forked: its
+    # untouched walk goes on over the cofactor, as a walked one would.
+    counting = _CountingFork(race._FORK)
+    monkeypatch.setattr(race, "_FORK", counting)
+    races = _record_races(monkeypatch)
+    primes, n = _three_primes(1, 7)
+    result = factorize(n, RaceConfig(workers=2, seed=0), table_1e6)
+    assert _multiset(result.factors) == primes
+    assert counting.starts == 0
+    (_, _, first), (m2, walks2, second) = races
+    untouched = first.worker_outcomes[1]
+    assert untouched == RhoOutcome(CANCELLED, 0)
+    assert (untouched.walk.params.c, untouched.walk.walked) == (2, 0)
+    assert walks2[1] == untouched.walk.over(m2)
+    assert walks2[1].walked == 0
+    assert second.worker_outcomes[1].walk.params == walks2[1].params
     assert multiprocessing.active_children() == []
 
 

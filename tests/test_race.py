@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from rhorace import race
+from rhorace import race, rho
 from rhorace.bench import _random_prime_digits
 from rhorace.race import (
     FactorSearchExhausted,
@@ -30,7 +30,6 @@ from rhorace.rho import (
     RhoOutcome,
     RhoParams,
     brent_attempt,
-    rho_attempt,
 )
 from test_rho import _CancelAfter
 
@@ -77,20 +76,27 @@ def test_assign_c_exhausts_residues():
 
 
 @pytest.mark.parametrize("detector", race.DETECTORS)
-def test_single_worker_race_is_a_direct_attempt(detector):
-    # workers=1 runs inline; the outcome must be byte-identical to calling
-    # the detector with the same derived parameters.
+def test_single_worker_race_is_a_direct_attempt(monkeypatch, detector):
+    # workers=1 is worker 0 alone; the outcome must be byte-identical to
+    # walking the detector with the same derived parameters, also past the
+    # mark, where a race of more workers would fork.
+    counting = _CountingFork(race._FORK)
+    monkeypatch.setattr(race, "_FORK", counting)
     config = RaceConfig(workers=1, seed=9, detector=detector)
-    outcome = race_factor(8051, config)
-    rng = random.Random(9)
-    x0 = rng.randrange(8051)
-    direct = race.DETECTORS[detector](8051, RhoParams.make(8051, c=1, x0=x0))
-    assert direct.found
-    assert outcome.factor == direct.factor
-    assert outcome.per_worker_iterations == [direct.iterations]
-    assert outcome.winner == 0
-    assert outcome.rounds == 1
-    assert outcome.worker_outcomes == [direct]
+    for n in (8051, LONG_SEMIPRIME):
+        outcome = race_factor(n, config)
+        rng = random.Random(9)
+        x0 = rng.randrange(n)
+        direct = rho.resume(n, rho.start(detector, RhoParams.make(n, c=1, x0=x0)))
+        assert direct.found
+        assert outcome.factor == direct.factor
+        assert outcome.per_worker_iterations == [direct.iterations]
+        assert outcome.winner == 0
+        assert outcome.rounds == 1
+        assert outcome.worker_outcomes == [direct]
+    # LONG_SEMIPRIME's walk went far past the mark, and nothing was forked.
+    assert direct.iterations > race.SOLO_STEPS
+    assert counting.starts == 0
 
 
 def test_single_worker_race_reproducible():
@@ -126,8 +132,8 @@ def test_race_factor_valid_across_schedules():
 
 
 def test_race_explicit_constants_and_starts():
-    params = RhoParams.make(8051, c=1, x0=2, gcd_batch=1)
-    outcomes, winner = race._run_round(8051, [params], "floyd")
+    walk = rho.start("floyd", RhoParams.make(8051, c=1, x0=2, gcd_batch=1))
+    outcomes, winner = race._run_round(8051, [walk])
     assert winner == 0
     assert outcomes == [RhoOutcome(FACTOR, 3, 97)]
 
@@ -163,12 +169,12 @@ def test_race_exhaustion_raises(monkeypatch):
 def test_race_exhaustion_when_constants_run_out(monkeypatch):
     # n=5 offers three usable residues (1, 2, 4): one round each, then no
     # fresh constant is left for a fourth round.
-    def never_finds(n, params, cancel):
+    def never_finds(n, walk, cancel=None):
         return RhoOutcome(NO_FACTOR_CYCLE, 1)
 
-    monkeypatch.setitem(race.DETECTORS, "never_finds", never_finds)
+    monkeypatch.setattr(rho, "resume", never_finds)
     monkeypatch.setattr(race, "MAX_ROUNDS", 16)
-    config = RaceConfig(workers=1, detector="never_finds")
+    config = RaceConfig(workers=1)
     with pytest.raises(FactorSearchExhausted) as exc_info:
         race_factor(5, config)
     assert exc_info.value.rounds == 3
@@ -247,11 +253,12 @@ def test_race_child_winner_cancels_the_coordinator(monkeypatch):
     n = p * r**15  # ~1500 digits: one iteration costs ~0.2-0.3 ms
     batch = 16
     budget = 1_000_000
-    params_list = [
-        RhoParams.make(n, c, x0=0, max_iters=budget, gcd_batch=batch) for c in (1, 2 * p, 2)
+    walks = [
+        rho.start("floyd", RhoParams.make(n, c, x0=0, max_iters=budget, gcd_batch=batch))
+        for c in (1, 2 * p, 2)
     ]
     with _deadline(20):
-        outcomes, winner = race._run_round(n, params_list, "floyd")
+        outcomes, winner = race._run_round(n, walks)
     assert winner == 1
     winner_out = outcomes[1]
     assert winner_out.kind == FACTOR
@@ -271,14 +278,15 @@ def test_race_child_winner_cancels_the_coordinator(monkeypatch):
 def test_race_fails_fast_when_a_child_dies_silently(monkeypatch):
     monkeypatch.setattr(race, "SOLO_STEPS", 0)
     coordinator = os.getpid()
+    resume = rho.resume
 
-    def exit_in_child(n, params, cancel):
+    def exit_in_child(n, walk, cancel=None):
         if os.getpid() != coordinator:
             os._exit(3)
-        return rho_attempt(n, params, cancel)
+        return resume(n, walk, cancel)
 
-    monkeypatch.setitem(race.DETECTORS, "exit_in_child", exit_in_child)
-    config = RaceConfig(workers=3, seed=1, detector="exit_in_child")
+    monkeypatch.setattr(rho, "resume", exit_in_child)
+    config = RaceConfig(workers=3, seed=1, detector="floyd")
     with _deadline(5), pytest.raises(RuntimeError, match=r"race worker [12] exited with code 3"):
         race_factor(SEMIPRIME, config)
     assert multiprocessing.active_children() == []
@@ -287,31 +295,33 @@ def test_race_fails_fast_when_a_child_dies_silently(monkeypatch):
 def test_race_leaves_no_child_when_the_coordinator_is_interrupted(monkeypatch):
     monkeypatch.setattr(race, "SOLO_STEPS", 0)
     coordinator = os.getpid()
+    resume = rho.resume
 
-    def interrupted_here(n, params, cancel):
+    def interrupted_here(n, walk, cancel=None):
         if os.getpid() == coordinator:
             cancel(race.SOLO_STEPS)  # worker 0's poll at the mark forks the children
             raise KeyboardInterrupt
         time.sleep(60)  # a child that would outlive the round on its own
-        return rho_attempt(n, params, cancel)
+        return resume(n, walk, cancel)
 
-    monkeypatch.setitem(race.DETECTORS, "interrupted_here", interrupted_here)
+    monkeypatch.setattr(rho, "resume", interrupted_here)
     with _deadline(5), pytest.raises(KeyboardInterrupt):
-        race_factor(SEMIPRIME, RaceConfig(workers=3, seed=1, detector="interrupted_here"))
+        race_factor(SEMIPRIME, RaceConfig(workers=3, seed=1, detector="floyd"))
     assert multiprocessing.active_children() == []
 
 
 def test_race_fails_fast_when_a_child_dies_during_worker_0s_walk(monkeypatch):
     # Worker 0 alone would walk for hours: its own poll must see the child die.
     coordinator = os.getpid()
+    resume = rho.resume
 
-    def exit_in_child(n, params, cancel):
+    def exit_in_child(n, walk, cancel=None):
         if os.getpid() != coordinator:
             os._exit(3)
-        return brent_attempt(n, params, cancel)
+        return resume(n, walk, cancel)
 
-    monkeypatch.setitem(race.DETECTORS, "exit_in_child", exit_in_child)
-    config = RaceConfig(workers=2, seed=1, detector="exit_in_child")
+    monkeypatch.setattr(rho, "resume", exit_in_child)
+    config = RaceConfig(workers=2, seed=1, detector="brent")
     with _deadline(1), pytest.raises(RuntimeError, match=r"race worker 1 exited with code 3"):
         race_factor(HARD_SEMIPRIME, config)
     assert multiprocessing.active_children() == []
@@ -325,18 +335,19 @@ def test_race_reports_a_child_lost_after_the_stop_was_sent(monkeypatch):
     rng = random.Random(20261019)
     p = _random_prime_digits(rng, 12)
     n = p * _random_prime_digits(rng, 30)
+    resume = rho.resume
 
-    def exit_late_in_child(n, params, cancel):
+    def exit_late_in_child(n, walk, cancel=None):
         if os.getpid() != coordinator:
             time.sleep(0.3)
             os._exit(3)
-        return rho_attempt(n, params, cancel)
+        return resume(n, walk, cancel)
 
-    monkeypatch.setitem(race.DETECTORS, "exit_late_in_child", exit_late_in_child)
-    params_list = [RhoParams.make(n, c, x0=0, gcd_batch=16) for c in (2 * p, 1, 2)]
+    monkeypatch.setattr(rho, "resume", exit_late_in_child)
+    walks = [rho.start("floyd", RhoParams.make(n, c, x0=0, gcd_batch=16)) for c in (2 * p, 1, 2)]
     lost = r"race worker [12] exited with code 3 without reporting"
     with _deadline(5), pytest.raises(RuntimeError, match=lost):
-        race._run_round(n, params_list, "exit_late_in_child")
+        race._run_round(n, walks)
     assert multiprocessing.active_children() == []
 
 
@@ -411,17 +422,21 @@ def test_race_fails_fast_when_a_worker_raises(
 ):
     # The others would walk for hours; the error must end the round at once.
     # Worker 0 runs in the caller, so its own exception propagates as it is.
-    def raises_in_one_worker(n, params, cancel):
+    resume = rho.resume
+
+    def raises_in_one_worker(n, walk, cancel=None):
+        params = walk.params
         if params.c != raiser + 1:  # first-round constants are 1, 2, 3
-            return brent_attempt(n, params, cancel)
+            return resume(n, walk, cancel)
         if past_the_mark:
-            brent_attempt(n, replace(params, max_iters=race.SOLO_STEPS + params.gcd_batch), cancel)
+            short = replace(params, max_iters=race.SOLO_STEPS + params.gcd_batch)
+            resume(n, replace(walk, params=short), cancel)
         raise ValueError("planted")
 
     counting = _CountingFork(race._FORK)
     monkeypatch.setattr(race, "_FORK", counting)
-    monkeypatch.setitem(race.DETECTORS, "raises", raises_in_one_worker)
-    config = RaceConfig(workers=3, seed=1, detector="raises")
+    monkeypatch.setattr(rho, "resume", raises_in_one_worker)
+    config = RaceConfig(workers=3, seed=1, detector="brent")
     with _deadline(1), pytest.raises(error, match=match):
         race_factor(HARD_SEMIPRIME, config)
     assert counting.starts == forks
@@ -451,7 +466,7 @@ def test_race_worker_0_walks_on_through_the_fork(monkeypatch):
     for n, forks in ((SEMIPRIME, 0), (LONG_SEMIPRIME, 2)):
         params_list = [RhoParams.make(n, 1, x0=5)]
         params_list += [RhoParams.make(n, c, x0=5, max_iters=1) for c in (2, 3)]
-        outcomes, winner = race._run_round(n, params_list, "brent")
+        outcomes, winner = race._run_round(n, [rho.start("brent", p) for p in params_list])
         assert winner == 0
         assert outcomes[0] == brent_attempt(n, params_list[0])
         assert counting.starts == forks
@@ -466,7 +481,7 @@ def test_race_forks_the_others_when_worker_0_fails_before_the_mark(monkeypatch):
         RhoParams.make(SEMIPRIME, 1, x0=5, max_iters=128),
         RhoParams.make(SEMIPRIME, 2, x0=5),
     ]
-    outcomes, winner = race._run_round(SEMIPRIME, params_list, "brent")
+    outcomes, winner = race._run_round(SEMIPRIME, [rho.start("brent", p) for p in params_list])
     assert counting.starts == 1
     assert winner == 1
     assert outcomes == [RhoOutcome(BUDGET_EXHAUSTED, 128), brent_attempt(SEMIPRIME, params_list[1])]
@@ -495,20 +510,19 @@ def _record_forks(monkeypatch):
 def test_race_forks_at_worker_0s_first_batch_boundary_past_the_mark(monkeypatch, detector, fork_at):
     assert race.SOLO_STEPS == 52 * 128
     seen = _record_forks(monkeypatch)
-    attempt = race.DETECTORS[detector]
-    params_list = [
-        RhoParams.make(HARD_SEMIPRIME, 1, x0=5, max_iters=254 + 56 * 128),
-        RhoParams.make(HARD_SEMIPRIME, 2, x0=5, max_iters=1),
+    walks = [
+        rho.start(detector, RhoParams.make(HARD_SEMIPRIME, 1, x0=5, max_iters=254 + 56 * 128)),
+        rho.start(detector, RhoParams.make(HARD_SEMIPRIME, 2, x0=5, max_iters=1)),
     ]
-    outcomes, winner = race._run_round(HARD_SEMIPRIME, params_list, detector)
+    outcomes, winner = race._run_round(HARD_SEMIPRIME, walks)
     assert winner is None
     assert seen == [fork_at]
-    assert outcomes[0] == attempt(HARD_SEMIPRIME, params_list[0])
+    assert outcomes[0] == rho.resume(HARD_SEMIPRIME, walks[0])
     # A resumed walk counts only the steps it walks in this race: past
     # phase r = 64 its batches are whole, so it forks at the mark itself.
     # (walked=0 hands it a whole budget again.)
     walk = outcomes[0].walk
-    outcomes, winner = race._run_round(HARD_SEMIPRIME, [replace(walk, walked=0), params_list[1]], detector)
+    outcomes, winner = race._run_round(HARD_SEMIPRIME, [replace(walk, walked=0), walks[1]])
     assert seen == [fork_at, race.SOLO_STEPS]
     assert outcomes[0].iterations == 254 + 56 * 128
     assert multiprocessing.active_children() == []
@@ -543,8 +557,8 @@ def test_race_ends_a_walk_whose_lifetime_budget_runs_out_mid_race(monkeypatch):
     assert tired.kind == CANCELLED
     budget = tired.walk.params.max_iters
     tired_walk = replace(tired.walk, walked=budget - 512)
-    winner_walk = RhoParams.make(LONG_SEMIPRIME, 1, x0=5)
-    outcomes, winner = race._run_round(LONG_SEMIPRIME, [winner_walk, tired_walk], "brent")
+    winner_walk = rho.start("brent", RhoParams.make(LONG_SEMIPRIME, 1, x0=5))
+    outcomes, winner = race._run_round(LONG_SEMIPRIME, [winner_walk, tired_walk])
     assert winner == 0
     assert outcomes[1] == RhoOutcome(BUDGET_EXHAUSTED, 512)
     assert outcomes[1].walk.walked == budget
@@ -553,7 +567,8 @@ def test_race_ends_a_walk_whose_lifetime_budget_runs_out_mid_race(monkeypatch):
 
 def test_unforked_worker_keeps_the_walk_it_was_handed():
     walk = brent_attempt(SEMIPRIME, RhoParams.make(SEMIPRIME, 2, x0=5), _CancelAfter(3)).walk
-    outcomes, winner = race._run_round(SEMIPRIME, [RhoParams.make(SEMIPRIME, 1, x0=5), walk], "brent")
+    fresh = rho.start("brent", RhoParams.make(SEMIPRIME, 1, x0=5))
+    outcomes, winner = race._run_round(SEMIPRIME, [fresh, walk])
     assert winner == 0
     assert outcomes[1] == RhoOutcome(CANCELLED, 0)
     assert outcomes[1].walk == walk
@@ -566,17 +581,20 @@ def test_walks_over_carries_only_walks_that_can_go_on():
     def walk(c):
         return brent_attempt(n, RhoParams.make(n, c, x0=7), _CancelAfter(2)).walk
 
+    never_forked = rho.start("brent", RhoParams.make(n, 5, x0=7))
     outcomes = [
         RhoOutcome(FACTOR, 9, 1000003, walk(1)),
         RhoOutcome(CANCELLED, 8, None, walk(2)),
-        RhoOutcome(CANCELLED, 0),  # never forked, handed no walk
+        RhoOutcome(CANCELLED, 0, None, never_forked),  # goes on untouched
         RhoOutcome(NO_FACTOR_CYCLE, 8, None, walk(3)),
         RhoOutcome(BUDGET_EXHAUSTED, 8, None, walk(4)),
         RhoOutcome(CANCELLED, 8, None, walk(m - 2)),  # c = -2 mod m
     ]
     won = RaceOutcome(1000003, 0, 0.1, 1, outcomes)
-    assert won.walks_over(m) == [walk(1).over(m), walk(2).over(m), None, None, None, None]
-    lost = RaceOutcome(1000003, 1, 0.1, 1, outcomes[2:])
+    carried = [walk(1).over(m), walk(2).over(m), never_forked.over(m), None, None, None]
+    assert won.walks_over(m) == carried
+    assert carried[2].walked == 0
+    lost = RaceOutcome(1000003, 1, 0.1, 1, outcomes[3:])
     assert lost.walks_over(m) is None
 
 

@@ -13,12 +13,17 @@ import random
 
 gcd = math.gcd
 
-# Below this bound the fixed 12-base Miller-Rabin test is exact.
+# Below this bound (psi_13) the fixed 13-base Miller-Rabin test is exact.
+# The first 12 prime bases alone stop at psi_12 = 318665857834031151167461,
+# a strong pseudoprime to all of them (J. Sorenson and J. Webster, "Strong
+# pseudoprimes to twelve prime bases", Math. Comp., 2017).
 _MR_EXACT_BOUND = 3_317_044_064_679_887_385_961_981
-_MR_EXACT_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MR_EXACT_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _MR_RANDOM_ROUNDS = 25  # seeded random bases at and above the bound
 
-_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# Holds every exact base: a prime n equal to a base is settled here, before
+# that base, 0 mod n, would read as a witness.
+_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
 _DIGITS = frozenset("0123456789")
 
@@ -38,10 +43,10 @@ def _mr_witness(a: int, d: int, s: int, n: int) -> bool:
 def is_probable_prime(n: int) -> bool:
     """Miller-Rabin primality test.
 
-    Exact for n below ~3.3e24 (fixed base set); beyond that it runs 25
-    random bases drawn from a generator seeded with n itself, so repeated
-    calls on the same input always agree.  A composite slips through with
-    probability at most 4**-25.
+    Exact for n below ~3.3e24 (the 13 prime bases 2..41); beyond that it
+    runs 25 random bases drawn from a generator seeded with n itself, so
+    repeated calls on the same input always agree.  A composite slips
+    through with probability at most 4**-25.
     """
     if n < 2:
         return False

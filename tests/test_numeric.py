@@ -53,6 +53,26 @@ def test_probable_prime_large_inputs():
     assert not is_probable_prime(10**30 + 1)
 
 
+# psi_12 and psi_13: the least strong pseudoprimes to the first 12 and 13
+# prime bases (Sorenson and Webster, Math. Comp., 2017), each a product of
+# two primes.
+PSI_12 = 318665857834031151167461
+PSI_12_PRIMES = (399165290221, 798330580441)
+PSI_13 = 3317044064679887385961981
+PSI_13_PRIMES = (1287836182261, 2575672364521)
+
+
+def test_probable_prime_rejects_the_least_pseudoprimes_to_the_first_prime_bases():
+    for psi, (p, q) in [(PSI_12, PSI_12_PRIMES), (PSI_13, PSI_13_PRIMES)]:
+        assert p * q == psi
+        assert oracles.trial_is_prime(p) and oracles.trial_is_prime(q)
+        assert is_probable_prime(p) and is_probable_prime(q)
+        assert not is_probable_prime(psi)
+    # Base 41 is itself prime: a base that is 0 mod n must not read as a witness.
+    assert is_probable_prime(41)
+    assert not is_probable_prime(41 * 43)
+
+
 def test_probable_prime_is_deterministic():
     n = (2**89 - 1) * (2**107 - 1)
     assert [is_probable_prime(n) for _ in range(3)] == [False] * 3

@@ -77,6 +77,16 @@ def test_factorize_large_prime_input(table_1e6):
     assert result.factors == {p: 1}
 
 
+def test_factorize_splits_the_12_base_pseudoprime(table_1e6):
+    # psi_12 passes Miller-Rabin to every prime base up to 37; it must be
+    # raced apart, not reported as a prime.
+    p, q = 399165290221, 798330580441
+    assert factorize(p * q, CFG1, table_1e6).factors == {p: 1, q: 1}
+    result = factorize(3 * p * q, CFG1, table_1e6)
+    assert result.factors == {3: 1, p: 1, q: 1}
+    assert verify(result)
+
+
 def test_factorize_matches_oracle_sample(table_1e6):
     for n in range(1, 2001):
         assert factorize(n, CFG1, table_1e6).factors == oracles.trial_factorize(n)

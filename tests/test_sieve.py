@@ -6,7 +6,7 @@ import random
 import pytest
 
 import oracles
-from rhorace.sieve import BLOCK_SIZE, MEMORY_CAP, PrimeTable, sieve, trial_divide
+from rhorace.sieve import BLOCK_SIZE, CHUNK_BITS, MEMORY_CAP, PrimeTable, sieve, trial_divide
 
 
 def test_sieve_tiny_limits():
@@ -101,24 +101,36 @@ def test_trial_divide_with_empty_table():
     assert trial_divide(97, empty) == ({}, 97)
 
 
+def _table_with_a_short_last_block():
+    table = sieve(5000)  # 669 primes: one full block and a short one
+    assert BLOCK_SIZE < len(table.primes) < 2 * BLOCK_SIZE
+    return table
+
+
 def test_prime_table_blocks_cover_the_primes(table_1e6):
-    primes = table_1e6.primes
-    starts = [start for start, _ in table_1e6.blocks]
-    assert starts == list(range(0, len(primes), BLOCK_SIZE))
-    for start, product in table_1e6.blocks:
-        expected = 1
-        for p in primes[start : start + BLOCK_SIZE]:
-            expected *= p
-        assert product == expected
+    for table in (_table_with_a_short_last_block(), table_1e6):
+        primes = table.primes
+        assert len(primes) % BLOCK_SIZE != 0
+        starts = [start for start, _ in table.blocks]
+        assert starts == list(range(0, len(primes), BLOCK_SIZE))
+        for start, chunks in table.blocks:
+            expected = 1
+            for p in primes[start : start + BLOCK_SIZE]:
+                expected *= p
+            assert all(0 <= c < 2**CHUNK_BITS for c in chunks[:-1])
+            reassembled = 0
+            for c in reversed(chunks):
+                reassembled = (reassembled << CHUNK_BITS) + c
+            assert reassembled == expected
 
 
 def test_prime_table_blocks_stay_out_of_repr_and_equality():
     assert PrimeTable(1, []).blocks == []
     table = PrimeTable(10, [2, 3, 5, 7])
-    assert table.blocks == [(0, 210)]
+    assert table.blocks == [(0, [210])]
     assert "blocks" not in repr(table)
     assert sieve(10) == table
-    assert sieve(2000).blocks[-1][0] == BLOCK_SIZE  # 303 primes: a short last block
+    assert _table_with_a_short_last_block().blocks[-1][0] == BLOCK_SIZE
 
 
 def _scan_matches(n, table):
@@ -147,7 +159,9 @@ def test_trial_divide_matches_full_scan_constructed(table_1e6):
     big = 1000003  # prime just above the limit
     last = len(P) - 1
     tail = len(P) - len(P) % BLOCK_SIZE  # first prime of the short last block
-    edges = [0, 1, 255, 256, 257, 511, 512, 767, 768, tail - 1, tail, last - 1, last]
+    B = BLOCK_SIZE
+    edges = [0, 1, B - 1, B, B + 1, 2 * B - 1, 2 * B, 3 * B - 1, 3 * B]
+    edges += [tail - 1, tail, last - 1, last]
     cases = [P[i] for i in edges]
     cases += [P[i] * P[j] for i in edges for j in edges if i <= j]
     cases += [P[i] * big for i in edges]
@@ -156,8 +170,8 @@ def test_trial_divide_matches_full_scan_constructed(table_1e6):
     cases += [
         2**200,
         3**100 * 999983**5,
-        P[255] ** 7 * P[256] ** 3,
-        P[511] ** 9 * big,
+        P[B - 1] ** 7 * P[B] ** 3,
+        P[2 * B - 1] ** 9 * big,
         2**61 * 3**38 * 5**20 * 7**10 * 999983**3,
         999983**12,
         big**4 * 999979**2,
@@ -171,13 +185,47 @@ def test_trial_divide_matches_full_scan_constructed(table_1e6):
 
 
 def test_trial_divide_matches_full_scan_partial_last_block():
-    table = sieve(2000)
+    table = _table_with_a_short_last_block()
     assert len(table.primes) % BLOCK_SIZE != 0
     rng = random.Random(2000)
     P = table.primes
-    cases = list(range(1, 5000))
-    cases += [P[i] * P[j] for i in (254, 255, 256, len(P) - 1) for j in range(len(P))]
+    B = BLOCK_SIZE
+    above = [5003, 5009]  # the first primes past the limit
+    cases = list(range(1, 12500))  # to 2.5 times the limit
+    cases += [P[i] * P[j] for i in (B - 2, B - 1, B, len(P) - 1) for j in range(len(P))]
     cases += [rng.randrange(1, 10**30) for _ in range(300)]
-    cases += [P[-1] ** 5, P[-1] * 2003, 1999 * 2003 * 2011, math.prod(P[250:])]
+    cases += [P[-1] ** 5, P[-1] * above[0], P[-1] * above[0] * above[1], math.prod(P[B - 6 :])]
     for n in cases:
         _scan_matches(n, table)
+
+
+def test_trial_divide_matches_full_scan_paper_sizes(table_1e6):
+    # 200-digit inputs, the paper's largest class: every block's gcd runs
+    # against a residue built from powers of two mod n, and peeling shrinks
+    # the cofactor far below n before the later blocks are reached.
+    rng = random.Random(200)
+    P = table_1e6.primes
+    starts = [start for start, _ in table_1e6.blocks]
+    big = 1000003
+    cases = []
+    for _ in range(12):
+        n = 1
+        for start in rng.sample(starts, 5):
+            block = P[start : start + BLOCK_SIZE]
+            n *= rng.choice(block) ** rng.randint(1, 3) * rng.choice(block)
+        cases.append(n * rng.randrange(10**199 // n, 10**200 // n))
+        cases.append(n * big ** (200 // 6 - len(str(n)) // 6))
+    cases += [
+        2**600 * P[BLOCK_SIZE] ** 40 * P[3 * BLOCK_SIZE + 5] ** 30 * big,
+        3**300 * P[-1] ** 20 * 999983**10,
+        math.prod(p**2 for p in P[:: BLOCK_SIZE // 2]) * big**10,
+        P[2 * BLOCK_SIZE] ** 35,
+        10**199 + 1,
+        1,
+    ]
+    for n in cases:
+        _scan_matches(n, table_1e6)
+    assert trial_divide(1, table_1e6) == ({}, 1)
+    empty = PrimeTable(1, [])
+    for n in cases:
+        assert trial_divide(n, empty) == ({}, n) == oracles.trial_divide_scan(n, empty.primes)

@@ -88,22 +88,16 @@ def cmd_factor(args) -> int:
         n = parse_natural(args.n)
         if n == 0:
             raise ValueError("0 has no prime factorization")
-        if args.workers < 0:
-            raise ValueError("workers must be >= 0")
-        if args.gcd_batch < 1:
-            raise ValueError("--gcd-batch must be >= 1")
-        if args.max_iters is not None and args.max_iters < 1:
-            raise ValueError("--max-iters must be >= 1")
+        config = RaceConfig(
+            workers=args.workers,
+            seed=args.seed,
+            detector=args.detector,
+            max_iters=args.max_iters,
+            gcd_batch=args.gcd_batch,
+        )
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    config = RaceConfig(
-        workers=args.workers,
-        seed=args.seed,
-        detector=args.detector,
-        max_iters=args.max_iters,
-        gcd_batch=args.gcd_batch,
-    )
     t0 = time.perf_counter()
     try:
         result = factorize(n, config)

@@ -18,12 +18,11 @@ gcd = math.gcd
 # a strong pseudoprime to all of them (J. Sorenson and J. Webster, "Strong
 # pseudoprimes to twelve prime bases", Math. Comp., 2017).
 _MR_EXACT_BOUND = 3_317_044_064_679_887_385_961_981
+# Also the small primes that is_probable_prime tries first: a prime n equal
+# to a base is settled there, before that base, 0 mod n, would read as a
+# witness.
 _MR_EXACT_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _MR_RANDOM_ROUNDS = 25  # seeded random bases at and above the bound
-
-# Holds every exact base: a prime n equal to a base is settled here, before
-# that base, 0 mod n, would read as a witness.
-_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
 _DIGITS = frozenset("0123456789")
 
@@ -50,7 +49,7 @@ def is_probable_prime(n: int) -> bool:
     """
     if n < 2:
         return False
-    for p in _SMALL_PRIMES:
+    for p in _MR_EXACT_BASES:
         if n == p:
             return True
         if n % p == 0:

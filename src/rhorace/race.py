@@ -16,15 +16,17 @@ on the pipes of the children that have not reported, so it stops for a
 child's factor or error, or for a child that died without reporting.
 The first factor found sends a stop down every open pipe.
 
-Every worker's start is a rho.Walk.  race_factor starts fresh walks of
-the configured detector (rho.start) from its RaceConfig: the constants
-1, 2, 3, ... in the first round, seeded draws after that.  It can instead
-be handed one walk per worker to resume (RaceOutcome.walks_over gives them
-for a cofactor of the last race's n); a worker handed none gets a fresh
-walk from drawn constants.  _run_round races the walks it is given, one
-per worker, at every worker count: worker 0 resumes its walk in the
-caller, a child is handed its walk when it is forked, and every worker's
-outcome, a never-forked worker's included, carries the walk it ended in.
+Every worker's start is a rho.Walk.  race_factor can be handed one walk
+per worker to resume (RaceOutcome.walks_over gives them for a cofactor of
+the last race's n).  Every other start, in the first round or a retry, is
+a fresh walk of the configured detector (rho.start) on the next unused
+constant of one sequence per race: c = 1, 2, 3, ... mod n, skipping the
+degenerate 0 and n-2 and every c a handed walk holds, so no c is walked
+twice in a race; its start value is a seeded draw.  _run_round races the
+walks it is given, one per worker, at every worker count: worker 0
+resumes its walk in the caller, a child is handed its walk when it is
+forked, and every worker's outcome, a never-forked worker's included,
+carries the walk it ended in.
 
 With workers=1 the round is worker 0 alone: it forks nothing, its poll
 never stops it, and its outcome is byte-for-byte a direct call of the
@@ -42,7 +44,6 @@ import random
 import select
 import time
 from dataclasses import dataclass
-from multiprocessing.connection import wait
 
 from . import rho
 from .rho import RhoOutcome, RhoParams, Walk
@@ -73,11 +74,10 @@ class FactorSearchExhausted(Exception):
 class RaceConfig:
     """Knobs for race_factor.  workers=0 means the detected core count.
 
-    The first round uses the constants 1, 2, 3, ... (assign_c); retry
-    rounds draw fresh constants from a generator seeded with seed,
-    excluding every c used so far, and every round draws its start values
-    from that generator.  max_iters=None sizes the budget from n at attempt
-    time.
+    Every fresh walk takes the race's next unused constant c = 1, 2, 3, ...;
+    seed seeds the generator that draws each fresh walk's start value.
+    max_iters=None sizes the budget from n at attempt time.  Bad values
+    raise ValueError when the config is made.
     """
 
     workers: int = 0
@@ -86,9 +86,17 @@ class RaceConfig:
     gcd_batch: int = rho.DEFAULT_GCD_BATCH
     detector: str = "brent"
 
-    def resolved_workers(self) -> int:
+    def __post_init__(self):
         if self.workers < 0:
             raise ValueError("workers must be >= 0")
+        if self.max_iters is not None and self.max_iters < 1:
+            raise ValueError("max_iters must be >= 1")
+        if self.gcd_batch < 1:
+            raise ValueError("gcd_batch must be >= 1")
+        if self.detector not in DETECTORS:
+            raise ValueError(f"unknown detector {self.detector!r}")
+
+    def resolved_workers(self) -> int:
         return self.workers if self.workers else (os.cpu_count() or 1)
 
 
@@ -114,8 +122,9 @@ class RaceOutcome:
         batch boundary; a worker that was never forked reports its walk
         cancelled as it was handed over, fresh or carried, so that walk
         goes on too.  None stands for a walk that met its cycle or spent
-        its budget, or whose c reduces to 0 or -2 mod m: that worker draws
-        fresh constants.  Returns None when no walk goes on.
+        its budget, or whose c reduces to 0 or -2 mod m: that worker starts
+        a fresh walk on the race's next unused constant.  Returns None when
+        no walk goes on.
         """
         walks = [
             o.walk.over(m) if o.kind in (rho.FACTOR, rho.CANCELLED) else None
@@ -124,46 +133,15 @@ class RaceOutcome:
         return walks if any(w is not None for w in walks) else None
 
 
-def assign_c(workers: int, n: int) -> list[int]:
-    """The first round's constants: 1, 2, 3, ... as residues mod n.
+def _constants(n, used):
+    """A race's constants: 1, 2, 3, ... mod n, skipping n-2 and used.
 
-    The walk skips the banned residues 0 and n-2 (degenerate polynomials).
-    There are exactly n-2 usable residues, so more workers than that is an
-    error.
+    0 and n-2 give degenerate polynomials; used holds the carried walks'
+    c, so no c is walked twice in one race.
     """
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
-    if n < 3:
-        raise ValueError("n must be >= 3")
-    if workers > n - 2:
-        raise ValueError(f"only {n - 2} usable constants exist mod {n}")
-    banned = {0, (n - 2) % n}
-    out: list[int] = []
-    c = 1
-    while len(out) < workers:
-        if c not in banned:
-            out.append(c)
-        c += 1
-    return out
-
-
-class _ConstantsExhausted(Exception):
-    """No unused residues left to draw; the race gives up early."""
-
-
-def _draw_distinct_c(rng: random.Random, n: int, count: int, used: set[int]) -> list[int]:
-    banned = {0, (n - 2) % n}
-    out: list[int] = []
-    taken = banned | used
-    if count > n - len(taken):
-        raise _ConstantsExhausted
-    while len(out) < count:
-        c = rng.randrange(1, n)
-        if c in taken:
-            continue
-        taken.add(c)
-        out.append(c)
-    return out
+    for c in range(1, n):
+        if c != n - 2 and c not in used:
+            yield c
 
 
 def _child_main(n, walk, conn, callers_ends):
@@ -306,7 +284,7 @@ def _run_round(n, walks):
         if this_round.winner is None:
             this_round.fork()
         while this_round.pipes:
-            for conn in wait(list(this_round.pipes)):
+            for conn in select.select(list(this_round.pipes), [], [])[0]:
                 this_round.read(conn)
         outcomes = [
             this_round.results.get(i) or RhoOutcome(rho.CANCELLED, 0, walk=walk)
@@ -325,41 +303,33 @@ def race_factor(
     n must be an odd composite; the pipeline guarantees on top of that that
     n has no prime factor under the pre-pass limit, but the race itself only
     checks what it can cheaply.  walks, one per worker, are walks reduced
-    mod n (RaceOutcome.walks_over) that the first round resumes; a worker
-    whose entry is None draws fresh constants, as a retry round does.
-    Without walks the first round uses the constants 1, 2, 3, ....  Rounds
-    retry with fresh constants until a factor appears or MAX_ROUNDS
-    rounds have failed, which raises FactorSearchExhausted.
+    mod n (RaceOutcome.walks_over) that the first round resumes.  Every
+    other start is a fresh walk on the next c of 1, 2, 3, ... mod n that is
+    not 0, n-2 or a handed walk's c, so a None entry is the same as no walk,
+    and a race with no walks starts on 1..k.  Rounds retry on fresh walks
+    until a factor appears or MAX_ROUNDS rounds have failed; either, or
+    running out of unused constants, raises FactorSearchExhausted.
     """
     config = config or RaceConfig()
     if n < 3 or n % 2 == 0:
         raise ValueError(f"race expects an odd n >= 3, got {n}")
     workers = config.resolved_workers()
-    if config.detector not in DETECTORS:
-        raise ValueError(f"unknown detector {config.detector!r}")
     carried = [None] * workers if walks is None else list(walks)
     if len(carried) != workers:
         raise ValueError(f"expected {workers} walks, got {len(carried)}")
+    cs = _constants(n, {w.params.c for w in carried if w is not None})
     rng = random.Random(config.seed)
-    used: set[int] = set()
+
+    def fresh():
+        params = RhoParams.make(n, next(cs), rng.randrange(n), config.max_iters, config.gcd_batch)
+        return rho.start(config.detector, params)
+
     start = time.perf_counter()
     for round_no in range(MAX_ROUNDS):
-        used.update(w.params.c for w in carried if w is not None)
-        fresh = sum(w is None for w in carried)
-        if round_no == 0 and walks is None:
-            cs = assign_c(workers, n)
-        else:
-            try:
-                cs = _draw_distinct_c(rng, n, fresh, used)
-            except _ConstantsExhausted:
-                raise FactorSearchExhausted(n, round_no) from None
-        used.update(cs)
-        x0s = [rng.randrange(n) for _ in range(fresh)]
-        drawn = (
-            rho.start(config.detector, RhoParams.make(n, c, x0, config.max_iters, config.gcd_batch))
-            for c, x0 in zip(cs, x0s)
-        )
-        starts = [w if w is not None else next(drawn) for w in carried]
+        try:
+            starts = [w if w is not None else fresh() for w in carried]
+        except StopIteration:  # every usable constant mod n is taken
+            raise FactorSearchExhausted(n, round_no) from None
         carried = [None] * workers
         outcomes, winner = _run_round(n, starts)
         if winner is not None:

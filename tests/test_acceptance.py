@@ -145,8 +145,9 @@ def test_criterion_4_iteration_speedup(capsys):
     """On any core count: the minimum of 4 walks takes ~1/sqrt(4) the iterations.
 
     Each input runs 8 inline attempts of the default detector with the
-    constants assign_c(8, n); the single-walk cost is the mean of all 8, the
-    4-worker cost the mean of min(walks 0-3) and min(walks 4-7).
+    constants 1..8, the ones a race of 8 workers starts on; the single-walk
+    cost is the mean of all 8, the 4-worker cost the mean of min(walks 0-3)
+    and min(walks 4-7).
     """
     detector = RaceConfig().detector
     rng = random.Random(2024)
@@ -156,7 +157,7 @@ def test_criterion_4_iteration_speedup(capsys):
         q = _random_prime_range(rng, 10**9, 2 * 10**9)
         n = p * q
         iters = []
-        for c in race.assign_c(8, n):
+        for c in range(1, 9):
             out = rho.resume(n, rho.start(detector, RhoParams.make(n, c, x0=rng.randrange(n))))
             assert out.found, f"c={c} found no factor of {n}: {out}"
             iters.append(out.iterations)

@@ -19,7 +19,6 @@ from rhorace.race import (
     FactorSearchExhausted,
     RaceConfig,
     RaceOutcome,
-    assign_c,
     race_factor,
 )
 from rhorace.rho import (
@@ -40,39 +39,98 @@ LONG_SEMIPRIME = 5063259979 * 94887001943
 HARD_SEMIPRIME = 1000000000000037 * 3000000000000037
 
 
-def test_assign_c_sequential_rule():
-    assert assign_c(4, 8051) == [1, 2, 3, 4]
-    assert assign_c(1, 8051) == [1]
+class _ResumeSpy:
+    """rho.resume, logging each walk's c and calling through.
+
+    The log is a file, so forked workers log too.  A walk whose c passes
+    fails returns NO_FACTOR_CYCLE at once instead of walking.
+    """
+
+    def __init__(self, log, fails=lambda c: False):
+        self.real = rho.resume
+        self.log = log
+        self.fails = fails
+
+    def __call__(self, n, walk, cancel=None):
+        with open(self.log, "a") as f:
+            f.write(f"{walk.params.c}\n")
+        if self.fails(walk.params.c):
+            return RhoOutcome(NO_FACTOR_CYCLE, 1)
+        return self.real(n, walk, cancel)
+
+    def constants(self):
+        """Every c walked so far, in ascending order."""
+        return sorted(int(c) for c in self.log.read_text().split()) if self.log.exists() else []
 
 
-def test_assign_c_skips_banned_residues():
-    # mod 5 the banned residues are 0 and 3 (= n-2), so 3 is skipped.
-    assert assign_c(3, 5) == [1, 2, 4]
-    # mod 3 the banned residues are 0 and 1.
-    assert assign_c(1, 3) == [2]
+def _constants_of(outcome):
+    return [o.walk.params.c for o in outcome.worker_outcomes]
 
 
-def test_draw_distinct_c_is_seeded_and_valid():
-    n = 10**50 + 151
-    first = race._draw_distinct_c(random.Random(42), n, 2, set())
-    again = race._draw_distinct_c(random.Random(42), n, 2, set())
-    other = race._draw_distinct_c(random.Random(43), n, 2, set())
-    assert first == again
-    assert len(set(first)) == 2
-    assert first != other  # overwhelmingly likely for a 50-digit modulus
-    for c in first:
-        assert 0 < c < n
-        assert c not in (0, n - 2)
+def test_race_first_round_takes_the_constants_1_to_k():
+    for workers in (1, 2, 4):
+        outcome = race_factor(SEMIPRIME, RaceConfig(workers=workers, seed=6))
+        assert outcome.rounds == 1
+        assert _constants_of(outcome) == list(range(1, workers + 1))
 
 
-def test_assign_c_exhausts_residues():
-    # n=5 has exactly three usable residues; a fourth worker cannot exist.
-    with pytest.raises(ValueError):
-        assign_c(4, 5)
-    with pytest.raises(ValueError):
-        assign_c(0, 8051)
-    with pytest.raises(ValueError):
-        assign_c(1, 2)
+def test_race_constants_skip_the_banned_residues(monkeypatch, tmp_path):
+    # mod 5 the banned residues are 0 and 3 (= n-2), so 3 is skipped, and
+    # a second round finds no unused constant.
+    spy = _ResumeSpy(tmp_path / "cs", fails=lambda c: True)
+    monkeypatch.setattr(rho, "resume", spy)
+    with pytest.raises(FactorSearchExhausted) as exc_info:
+        race_factor(5, RaceConfig(workers=3))
+    assert exc_info.value.rounds == 1
+    assert spy.constants() == [1, 2, 4]
+    assert multiprocessing.active_children() == []
+
+
+def test_race_never_repeats_a_constant_across_rounds(monkeypatch, tmp_path):
+    # Each round takes the next k constants of the one sequence.
+    spy = _ResumeSpy(tmp_path / "cs", fails=lambda c: True)
+    monkeypatch.setattr(rho, "resume", spy)
+    monkeypatch.setattr(race, "MAX_ROUNDS", 4)
+    with pytest.raises(FactorSearchExhausted) as exc_info:
+        race_factor(SEMIPRIME, RaceConfig(workers=3, seed=2))
+    assert exc_info.value.rounds == 4
+    assert spy.constants() == list(range(1, 13))
+    assert multiprocessing.active_children() == []
+
+
+def test_race_gives_none_entries_the_lowest_free_constants():
+    config = RaceConfig(workers=3, seed=6)
+
+    def walk(c):
+        return rho.start("brent", RhoParams.make(SEMIPRIME, c, x0=5))
+
+    for walks, expected in (
+        ([None, walk(1), walk(2)], [3, 1, 2]),
+        ([walk(2), None, None], [2, 1, 3]),
+        ([None, walk(5), None], [1, 5, 2]),
+    ):
+        outcome = race_factor(SEMIPRIME, config, walks)
+        assert outcome.rounds == 1
+        assert _constants_of(outcome) == expected
+
+
+def test_race_with_more_workers_than_constants_is_exhausted_at_once(monkeypatch, tmp_path):
+    # n=5 has exactly three usable residues; a fourth worker cannot start.
+    spy = _ResumeSpy(tmp_path / "cs")
+    monkeypatch.setattr(rho, "resume", spy)
+    with pytest.raises(FactorSearchExhausted) as exc_info:
+        race_factor(5, RaceConfig(workers=4))
+    assert exc_info.value.rounds == 0
+    assert spy.constants() == []
+
+
+@pytest.mark.parametrize(
+    ("field", "value"),
+    [("workers", -1), ("max_iters", 0), ("gcd_batch", 0), ("detector", "nope")],
+)
+def test_race_config_rejects_bad_values(field, value):
+    with pytest.raises(ValueError, match=field):
+        RaceConfig(**{field: value})
 
 
 @pytest.mark.parametrize("detector", race.DETECTORS)
@@ -147,14 +205,20 @@ def test_race_rejects_bad_inputs():
         race_factor(8051, RaceConfig(workers=1, detector="nope"))
 
 
-def test_race_retries_with_fresh_constants():
-    # A budget too small for round one but workable for some later draw:
-    # found by scanning seeds once, then frozen.  workers=1 keeps it exact.
-    for detector, seed in (("floyd", 1), ("brent", 39)):
-        config = RaceConfig(workers=1, seed=seed, max_iters=64, gcd_batch=16, detector=detector)
-        outcome = race_factor(SEMIPRIME, config)
-        assert outcome.rounds > 1
+def test_race_retries_with_fresh_constants(monkeypatch, tmp_path):
+    # Every round-1 walk (c = 1..k) fails; round 2 races k+1..2k for real.
+    k = 2
+    for detector in race.DETECTORS:
+        spy = _ResumeSpy(tmp_path / detector, fails=lambda c: c <= k)
+        monkeypatch.setattr(rho, "resume", spy)
+        outcome = race_factor(SEMIPRIME, RaceConfig(workers=k, seed=3, detector=detector))
+        monkeypatch.setattr(rho, "resume", spy.real)
+        assert outcome.rounds == 2
+        assert _constants_of(outcome) == list(range(k + 1, 2 * k + 1))
         assert SEMIPRIME % outcome.factor == 0
+        assert 1 < outcome.factor < SEMIPRIME
+        assert spy.constants()[:k] == list(range(1, k + 1))
+        assert multiprocessing.active_children() == []
 
 
 def test_race_exhaustion_raises(monkeypatch):
@@ -599,14 +663,18 @@ def test_walks_over_carries_only_walks_that_can_go_on():
 
 
 def test_race_draws_fresh_constants_for_a_worker_handed_no_walk():
-    # As a retry round draws them: seeded, not the first round's 1, 2, 3.
-    config = RaceConfig(workers=1, seed=9)
-    outcome = race_factor(SEMIPRIME, config, [None])
+    # A None entry is a fresh walk, just as if no walks had been handed.
+    for workers in (1, 3):
+        config = RaceConfig(workers=workers, seed=9)
+        handed = race_factor(SEMIPRIME, config, [None] * workers)
+        fresh = race_factor(SEMIPRIME, config)
+        assert handed.worker_outcomes == fresh.worker_outcomes
+        assert [o.walk for o in handed.worker_outcomes] == [o.walk for o in fresh.worker_outcomes]
     rng = random.Random(9)
-    (c,) = race._draw_distinct_c(rng, SEMIPRIME, 1, set())
-    params = RhoParams.make(SEMIPRIME, c, x0=rng.randrange(SEMIPRIME))
-    assert outcome.worker_outcomes[0].walk.params == params
-    assert outcome.worker_outcomes == [brent_attempt(SEMIPRIME, params)]
+    params = RhoParams.make(SEMIPRIME, 1, x0=rng.randrange(SEMIPRIME))
+    solo = race_factor(SEMIPRIME, RaceConfig(workers=1, seed=9), [None])
+    assert solo.worker_outcomes[0].walk.params == params
+    assert solo.worker_outcomes == [brent_attempt(SEMIPRIME, params)]
 
 
 def test_race_rejects_a_walk_list_of_the_wrong_length():

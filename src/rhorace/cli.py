@@ -1,7 +1,8 @@
 """Command line front end: factor numbers, generate inputs, run benchmarks.
 
 Exit codes: 0 success, 1 runtime failure (incomplete factorization, bench
-verification or I/O trouble, selftest failures), 2 usage errors.
+verification or I/O trouble, selftest failures), 2 usage errors, 130 a
+factor run stopped by Ctrl-C (SIGINT).
 """
 
 from __future__ import annotations
@@ -110,6 +111,9 @@ def cmd_factor(args) -> int:
             file=sys.stderr,
         )
         return 1
+    except KeyboardInterrupt:  # the race has stopped and reaped its children
+        print("error: interrupted", file=sys.stderr)
+        return 130
     wall = time.perf_counter() - t0
     if args.json:
         payload = {

@@ -4,17 +4,28 @@ Different c values give independent pseudo-random orbits, so their collision
 times are independent draws; racing k of them and keeping the first factor
 collects the minimum.  Worker 0 runs in the calling process and workers
 1..k-1 are forked OS processes (CPython threads cannot run big-int
-arithmetic in parallel).  Forking a child costs a few milliseconds before
-its first step, more than many races take, so worker 0 first walks
+arithmetic in parallel).  Forking a child costs a millisecond or two
+before its first step, more than many races take, so worker 0 first walks
 SOLO_STEPS steps alone: a race it wins by then forks nothing, and a longer
 one forks the k-1 children at that mark while worker 0 walks on without a
-restart.  Each child gets one duplex pipe to the caller: its report goes
-up, a stop comes down, and either end reads EOF once the other process
-has exited.  Every worker polls once per gcd batch: a child selects on
-its pipe, so it stops when the caller stops it or dies; worker 0 selects
-on the pipes of the children that have not reported, so it stops for a
-child's factor or error, or for a child that died without reporting.
-The first factor found sends a stop down every open pipe.
+restart.
+
+Each child is a bare os.fork() with two pipes to the caller.  The stop
+pipe carries one byte down when the caller stops the child, and its read
+end turns readable with EOF as well once the caller has exited.  The
+report pipe carries one line up: decimal ints from which the caller
+rebuilds the child's outcome and walk, or "!" and the repr of the child's
+exception, so no Python object crosses the fork.  The child first
+closes every caller end of a pipe that it inherited, so that only its
+caller holds the write end of its stop pipe, and it never returns into
+the caller's frames: it leaves through os._exit, with code 0 only once it
+has reported.  Every worker polls once per gcd batch: a child selects on
+its stop pipe, so it stops when the caller stops it or dies; worker 0
+selects on the report pipes of the children that have not reported, so it
+stops for a child's factor or error, or for a child whose pipe reads EOF
+before a whole report, whose exit code os.waitpid then gives.  The first
+factor found writes a stop down every open pipe, and on every way out of
+a round the caller kills and reaps each child with SIGTERM and waitpid.
 
 Every worker's start is a rho.Walk.  race_factor can be handed one walk
 per worker to resume (RaceOutcome.walks_over gives them for a cofactor of
@@ -38,26 +49,28 @@ as detector="floyd".
 
 from __future__ import annotations
 
-import multiprocessing
 import os
 import random
 import select
+import signal
 import time
+from contextlib import suppress
 from dataclasses import dataclass
 
 from . import rho
 from .rho import RhoOutcome, RhoParams, Walk
 
-_FORK = multiprocessing.get_context("fork")
-
 DETECTORS = tuple(rho.DETECTORS)
+# A child's report names its outcome's kind by its index here.
+_KINDS = (rho.FACTOR, rho.NO_FACTOR_CYCLE, rho.BUDGET_EXHAUSTED, rho.CANCELLED)
 MAX_ROUNDS = 16  # rounds a race tries before FactorSearchExhausted
 # Worker 0 walks this many steps alone before workers 1..k-1 are forked:
-# 52 batches of 128, about 3.3 ms of Brent steps on a 21-digit n, about
-# the 2-3.5 ms a forked child takes from fork() to its first step.  The
-# fork comes at worker 0's first batch boundary at or past the mark: step
-# 6656 for Floyd, 6782 for a fresh Brent walk, whose first 14 batches
-# (phases r = 1..64) are shorter than 128 steps.
+# 52 batches of 128, about 3.3 ms of Brent steps on a 21-digit n, a little
+# more than the median 2.2 ms a forked child takes from fork() to its first
+# step (60 forks on 2 vCPUs, Python 3.11, the caller holding the 10**6
+# table).  The fork comes at worker 0's first batch boundary at or past the
+# mark: step 6656 for Floyd, 6782 for a fresh Brent walk, whose first 14
+# batches (phases r = 1..64) are shorter than 128 steps.
 SOLO_STEPS = 6656
 
 
@@ -144,24 +157,33 @@ def _constants(n, used):
             yield c
 
 
-def _child_main(n, walk, conn, callers_ends):
-    """A forked worker: walk until done or stopped, then report on conn.
+def _child_main(n, walk, stop, report, callers_ends):
+    """A forked worker: walk until done or stopped, report, then _exit.
 
-    conn is readable once the caller sends a stop or exits, so the walk
-    polls it once per batch.  The caller's ends of the pipes made so far,
-    this child's own among them, came along with the fork: closing them
-    here lets every child see EOF when the caller dies.
+    stop turns readable once the caller writes its stop byte or exits, so
+    the walk selects on it once per batch.  The report written to report
+    is one line: the outcome's kind (its index in _KINDS), iterations,
+    factor (0 for none), the walk's lifetime walked and its state, all
+    decimal ints; an exception is "!" and its repr instead.  The caller's
+    ends of the pipes made so far, this child's own among them, came along
+    with the fork: closing them lets every child see EOF when the caller
+    dies.  The child never returns into the caller's frames: whatever it
+    meets, a BaseException included, it leaves through os._exit, with code
+    0 only once its report is written.
     """
-    for end in callers_ends:
-        end.close()
     try:
-        report = rho.resume(n, walk, lambda steps: bool(select.select([conn], [], [], 0)[0]))
-    except Exception as exc:  # report instead of hanging the coordinator
-        report = repr(exc)
-    try:
-        conn.send(report)
-    except OSError:
-        pass  # the caller is gone: nobody is left to read the report
+        for fd in callers_ends:
+            os.close(fd)
+        try:
+            out = rho.resume(n, walk, lambda steps: bool(select.select([stop], [], [], 0)[0]))
+            ints = (_KINDS.index(out.kind), out.iterations, out.factor or 0, out.walk.walked)
+            line = " ".join(map(str, ints + out.walk.state))
+        except Exception as exc:  # report instead of hanging the coordinator
+            line = "!" + repr(exc)
+        os.write(report, f"{line}\n".encode())
+        os._exit(0)
+    finally:
+        os._exit(1)  # no report: a BaseException, or the caller is gone
 
 
 class _Round:
@@ -170,21 +192,25 @@ class _Round:
     Worker 0's cancel is this object's poll, at every worker count.
     Until worker 0 has walked SOLO_STEPS steps in this race nothing else
     exists, and the poll only compares the steps the driver reports.  The
-    poll at the mark forks workers 1..k-1, each handed its walk and one end
-    of its own duplex pipe; with k=1 it forks nothing.  From then on the
-    poll is one select over the pipes of the children that have not
-    reported, skipped while none is open: a child's pipe turns readable
-    when it reports an outcome or an error, or exits without reporting.
-    The first factor, worker 0's or a child's, sends a stop down every open
-    pipe.  A child's error, or a child lost, raises RuntimeError at once.
+    poll at the mark forks workers 1..k-1 with os.fork, each handed its
+    walk and two pipes: a stop pipe down to it and a report pipe up from
+    it; with k=1 it forks nothing.  From then on the poll is one select
+    over the report pipes of the children that have not reported, skipped
+    while none is open: a report pipe turns readable when its child
+    reports an outcome or an error, or exits without reporting.  The first
+    factor, worker 0's or a child's, writes a stop byte down the pipe of
+    every child that has not reported.  A child's error, or a child lost,
+    raises RuntimeError at once; a lost child is one whose report pipe
+    reads EOF before a whole line, and os.waitpid gives its exit code.
     """
 
     def __init__(self, n, walks):
         self.n = n
         self.walks = walks
         self.forked = False
-        self.procs = {}
-        self.pipes = {}  # caller's end -> child index, until that child reports
+        self.procs = {}  # child index -> pid, until the child is reaped
+        self.stops = {}  # child index -> caller's end of its stop pipe
+        self.pipes = {}  # caller's end of a report pipe -> child index, until it reports
         self.results: dict[int, RhoOutcome] = {}
         self.winner = None
 
@@ -196,8 +222,8 @@ class _Round:
                 return False
             self.fork()
         if self.pipes:
-            for conn in select.select(list(self.pipes), [], [], 0)[0]:
-                self.read(conn)
+            for fd in select.select(list(self.pipes), [], [], 0)[0]:
+                self.read(fd)
         return self.winner is not None
 
     def fork(self):
@@ -206,56 +232,56 @@ class _Round:
             return
         self.forked = True
         for i, walk in enumerate(self.walks[1:], start=1):
-            conn, child_end = _FORK.Pipe()
-            self.pipes[conn] = i
-            p = _FORK.Process(
-                target=_child_main,
-                args=(self.n, walk, child_end, list(self.pipes)),
-                daemon=True,
-            )
-            self.procs[i] = p
-            p.start()
-            child_end.close()
+            stop, self.stops[i] = os.pipe()
+            report_end, report = os.pipe()
+            self.pipes[report_end] = i
+            ends = [*self.stops.values(), *self.pipes]
+            try:
+                # A child runs _child_main, which never returns.
+                self.procs[i] = os.fork() or _child_main(self.n, walk, stop, report, ends)
+            finally:
+                os.close(stop)
+                os.close(report)
 
     def report(self, idx, out):
         """Record worker idx's outcome; the first factor stops the rest."""
         self.results[idx] = out
         if out.found and self.winner is None:
             self.winner = idx
-            for conn in self.pipes:
-                try:
-                    conn.send(None)
-                except OSError:
-                    pass  # that child has exited; reading its pipe tells how
+            for i in self.pipes.values():
+                with suppress(BrokenPipeError):  # that child has exited; its report pipe tells how
+                    os.write(self.stops[i], b"\0")
 
-    def read(self, conn):
+    def read(self, fd):
         """Take the report a readable pipe holds; fail on an error or EOF."""
-        idx = self.pipes.pop(conn)
-        try:
-            report = conn.recv()
-        except (EOFError, ConnectionResetError):
-            # Reset, not EOF, when the child exited with the stop unread.
-            self.procs[idx].join()
-            raise RuntimeError(
-                f"race worker {idx} exited with code "
-                f"{self.procs[idx].exitcode} without reporting"
-            ) from None
-        finally:
-            conn.close()
-        if isinstance(report, str):
-            raise RuntimeError(f"race worker(s) failed: {[(idx, report)]}")
-        self.report(idx, report)
+        data = b""
+        while not data.endswith(b"\n") and (chunk := os.read(fd, 1 << 16)):
+            data += chunk
+        idx = self.pipes.pop(fd)
+        os.close(fd)
+        line = data.decode()
+        if not line.endswith("\n"):  # EOF first: the child exited without reporting
+            code = os.waitstatus_to_exitcode(os.waitpid(self.procs.pop(idx), 0)[1])
+            raise RuntimeError(f"race worker {idx} exited with code {code} without reporting")
+        if line.startswith("!"):
+            raise RuntimeError(f"race worker(s) failed: {[(idx, line[1:-1])]}")
+        kind, iterations, factor, walked, *state = map(int, line.split())
+        walk = Walk(self.walks[idx].step, self.walks[idx].params, tuple(state), walked)
+        self.report(idx, RhoOutcome(_KINDS[kind], iterations, factor or None, walk))
 
     def close(self):
-        """Terminate children still alive and join all of them."""
-        for p in self.procs.values():
-            if p.is_alive():
-                p.terminate()
-        for p in self.procs.values():
-            if p.pid is not None:
-                p.join()
-        for conn in self.pipes:
-            conn.close()
+        """Close the caller's pipe ends, then kill and reap every child.
+
+        A closed stop pipe reads EOF, which stops its child at its next
+        batch; SIGTERM stops it at once.  An exited child stays a zombie
+        until waitpid reaps it, so the kill cannot miss.
+        """
+        for fd in [*self.stops.values(), *self.pipes]:
+            os.close(fd)
+        for pid in self.procs.values():
+            os.kill(pid, signal.SIGTERM)
+        for pid in self.procs.values():
+            os.waitpid(pid, 0)
 
 
 def _run_round(n, walks):
@@ -269,14 +295,14 @@ def _run_round(n, walks):
     RhoOutcome(CANCELLED, 0) carrying the walk it was handed; if it fails
     within it, the others are forked then.  Once children exist, the first
     factor stops the others at their next batch boundary: worker 0 through
-    its poll, each child through the stop the caller sends down its pipe,
+    its poll, each child through the stop the caller writes down its pipe,
     which a child's factor reaches through worker 0's next poll.  A child
     that raises, or exits without reporting, fails the round with
     RuntimeError; an exception of worker 0 propagates as it is.  On every
-    way out, errors and KeyboardInterrupt included, children still alive
-    are terminated and all are joined, so no worker computation survives
-    this call; if the caller itself is killed, each child reads EOF on its
-    pipe and stops within a batch.
+    way out, errors and KeyboardInterrupt included, every child is killed
+    and reaped, so no worker computation survives this call; if the caller
+    itself is killed, each child reads EOF on its stop pipe and stops
+    within a batch.
     """
     this_round = _Round(n, walks)
     try:
@@ -284,8 +310,8 @@ def _run_round(n, walks):
         if this_round.winner is None:
             this_round.fork()
         while this_round.pipes:
-            for conn in select.select(list(this_round.pipes), [], [])[0]:
-                this_round.read(conn)
+            for fd in select.select(list(this_round.pipes), [], [])[0]:
+                this_round.read(fd)
         outcomes = [
             this_round.results.get(i) or RhoOutcome(rho.CANCELLED, 0, walk=walk)
             for i, walk in enumerate(walks)

@@ -6,7 +6,6 @@ then asserts.  Tolerances and sizes are pinned in the constants below.
 """
 
 import math
-import multiprocessing
 import os
 import random
 import statistics
@@ -21,6 +20,7 @@ from rhorace.bench import BenchSuite, _random_prime_digits, _random_prime_range,
 from rhorace.pipeline import factorize, verify
 from rhorace.race import RaceConfig
 from rhorace.rho import CANCELLED, FACTOR, RhoParams, rho_attempt
+from test_race import _assert_no_child
 
 ORACLE_SWEEP_LIMIT = 100_000
 ORACLE_SWEEP_BUDGET_S = 60.0
@@ -325,7 +325,7 @@ def test_criterion_8_cancellation_latency(capsys, monkeypatch):
         )
         assert out.iterations < budget // 100
         loser_iters.append(out.iterations)
-    assert multiprocessing.active_children() == []
+    _assert_no_child()
     _report(
         capsys, 8, "cancellation latency", "PASS",
         f"winner at {winner_out.iterations} iters, losers at {loser_iters} "

@@ -2,14 +2,19 @@
 
 import json
 import os
+import signal
 import subprocess
 import sys
+import time
+from contextlib import suppress
 
 import pytest
 
 from rhorace import cli
 from rhorace import rho as rho_mod
+from rhorace.bench import gen_input
 from rhorace.race import RaceConfig
+from test_race import _ANNOUNCE_FORKS, _deadline, _gone
 
 
 def run_cli(*argv):
@@ -222,6 +227,51 @@ def test_module_entry_point(src_env):
     )
     assert proc.returncode == 0
     assert proc.stdout == "83^1\n97^1\n"
+
+
+_ANNOUNCED_FACTOR = _ANNOUNCE_FORKS + """
+import sys
+from rhorace import cli
+sys.exit(cli.main(["factor", "--workers", "2", sys.argv[1]]))
+"""
+
+
+@pytest.mark.parametrize("group", [False, True], ids=["caller", "process-group"])
+def test_factor_exits_130_on_ctrl_c(group, src_env):
+    # A 60-digit input with an 18-digit planted prime races for hours.  The
+    # SIGINT goes to the caller alone, or, as a terminal's Ctrl-C does, to
+    # its whole process group, children included.
+    n = gen_input(60, 18, 1)
+    proc = subprocess.Popen(
+        [sys.executable, "-c", _ANNOUNCED_FACTOR, str(n)],
+        env=src_env,
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+        start_new_session=True,
+    )
+    pids = []
+    try:
+        with _deadline(20):
+            pids = [int(pid) for pid in proc.stdout.readline().split()]
+            time.sleep(1)
+            if group:
+                os.killpg(proc.pid, signal.SIGINT)
+            else:
+                proc.send_signal(signal.SIGINT)
+            out, err = proc.communicate()
+        pids += [int(pid) for pid in out.split()]
+        assert proc.returncode == 130
+        assert err == "error: interrupted\n"
+        assert len(pids) >= 1
+        assert [pid for pid in pids if not _gone(pid)] == []
+    finally:
+        for pid in pids:
+            if not _gone(pid):
+                with suppress(ProcessLookupError):
+                    os.kill(pid, signal.SIGKILL)
+        proc.kill()
+        proc.communicate()
 
 
 def test_console_script_if_installed():

@@ -1,6 +1,5 @@
 """End-to-end factorization tests: pre-pass, recursion, verification."""
 
-import multiprocessing
 import random
 
 import pytest
@@ -17,7 +16,7 @@ from rhorace.pipeline import (
 )
 from rhorace.race import RaceConfig
 from rhorace.rho import CANCELLED, RhoOutcome, resume
-from test_race import _CountingFork
+from test_race import _CountingFork, _assert_no_child
 
 CFG1 = RaceConfig(workers=1, seed=0)
 
@@ -208,14 +207,13 @@ def test_factorize_resumes_the_forked_workers_walk(monkeypatch, table_1e6):
     assert first.worker_outcomes[1].walk.walked > 0
     assert walks2[1] == first.worker_outcomes[1].walk.over(m2)
     assert second.worker_outcomes[1].walk.walked == walks2[1].walked + second.per_worker_iterations[1]
-    assert multiprocessing.active_children() == []
+    _assert_no_child()
 
 
 def test_factorize_carries_a_never_forked_workers_walk(monkeypatch, table_1e6):
     # Worker 0 wins race 1 before the mark, so worker 1 is never forked: its
     # untouched walk goes on over the cofactor, as a walked one would.
-    counting = _CountingFork(race._FORK)
-    monkeypatch.setattr(race, "_FORK", counting)
+    counting = _CountingFork(monkeypatch)
     races = _record_races(monkeypatch)
     primes, n = _three_primes(1, 7)
     result = factorize(n, RaceConfig(workers=2, seed=0), table_1e6)
@@ -228,7 +226,7 @@ def test_factorize_carries_a_never_forked_workers_walk(monkeypatch, table_1e6):
     assert walks2[1] == untouched.walk.over(m2)
     assert walks2[1].walked == 0
     assert second.worker_outcomes[1].walk.params == walks2[1].params
-    assert multiprocessing.active_children() == []
+    _assert_no_child()
 
 
 def test_factorize_races_a_composite_factor_from_fresh_constants(monkeypatch, table_1e6):
@@ -240,4 +238,4 @@ def test_factorize_races_a_composite_factor_from_fresh_constants(monkeypatch, ta
     (m1, _, first), (m2, walks2, _) = races
     assert not is_probable_prime(first.factor)
     assert (m2, walks2) == (first.factor, None)
-    assert multiprocessing.active_children() == []
+    _assert_no_child()

@@ -1,6 +1,5 @@
 """Race coordination tests: constant assignment, winner claim, retries."""
 
-import multiprocessing
 import os
 import random
 import signal
@@ -55,7 +54,7 @@ class _ResumeSpy:
         with open(self.log, "a") as f:
             f.write(f"{walk.params.c}\n")
         if self.fails(walk.params.c):
-            return RhoOutcome(NO_FACTOR_CYCLE, 1)
+            return RhoOutcome(NO_FACTOR_CYCLE, 1, walk=walk)
         return self.real(n, walk, cancel)
 
     def constants(self):
@@ -83,7 +82,7 @@ def test_race_constants_skip_the_banned_residues(monkeypatch, tmp_path):
         race_factor(5, RaceConfig(workers=3))
     assert exc_info.value.rounds == 1
     assert spy.constants() == [1, 2, 4]
-    assert multiprocessing.active_children() == []
+    _assert_no_child()
 
 
 def test_race_never_repeats_a_constant_across_rounds(monkeypatch, tmp_path):
@@ -95,7 +94,7 @@ def test_race_never_repeats_a_constant_across_rounds(monkeypatch, tmp_path):
         race_factor(SEMIPRIME, RaceConfig(workers=3, seed=2))
     assert exc_info.value.rounds == 4
     assert spy.constants() == list(range(1, 13))
-    assert multiprocessing.active_children() == []
+    _assert_no_child()
 
 
 def test_race_gives_none_entries_the_lowest_free_constants():
@@ -138,8 +137,7 @@ def test_single_worker_race_is_a_direct_attempt(monkeypatch, detector):
     # workers=1 is worker 0 alone; the outcome must be byte-identical to
     # walking the detector with the same derived parameters, also past the
     # mark, where a race of more workers would fork.
-    counting = _CountingFork(race._FORK)
-    monkeypatch.setattr(race, "_FORK", counting)
+    counting = _CountingFork(monkeypatch)
     config = RaceConfig(workers=1, seed=9, detector=detector)
     for n in (8051, LONG_SEMIPRIME):
         outcome = race_factor(n, config)
@@ -177,7 +175,7 @@ def test_multiworker_race_finds_valid_factor(workers):
     assert len(outcome.per_worker_iterations) == workers
     assert outcome.worker_outcomes[outcome.winner].kind == FACTOR
     assert outcome.wall_time_s > 0
-    assert multiprocessing.active_children() == []
+    _assert_no_child()
 
 
 def test_race_factor_valid_across_schedules():
@@ -218,7 +216,7 @@ def test_race_retries_with_fresh_constants(monkeypatch, tmp_path):
         assert SEMIPRIME % outcome.factor == 0
         assert 1 < outcome.factor < SEMIPRIME
         assert spy.constants()[:k] == list(range(1, k + 1))
-        assert multiprocessing.active_children() == []
+        _assert_no_child()
 
 
 def test_race_exhaustion_raises(monkeypatch):
@@ -234,7 +232,7 @@ def test_race_exhaustion_when_constants_run_out(monkeypatch):
     # n=5 offers three usable residues (1, 2, 4): one round each, then no
     # fresh constant is left for a fourth round.
     def never_finds(n, walk, cancel=None):
-        return RhoOutcome(NO_FACTOR_CYCLE, 1)
+        return RhoOutcome(NO_FACTOR_CYCLE, 1, walk=walk)
 
     monkeypatch.setattr(rho, "resume", never_finds)
     monkeypatch.setattr(race, "MAX_ROUNDS", 16)
@@ -271,37 +269,33 @@ def _deadline(seconds):
 
 
 class _CountingFork:
-    """The fork context, counting Process.start calls."""
+    """os.fork, patched for one test, counting the forks of this process."""
 
-    def __init__(self, real):
-        self._real = real
+    def __init__(self, monkeypatch):
+        self.real = os.fork
         self.starts = 0
+        monkeypatch.setattr(os, "fork", self)
 
-    def __getattr__(self, name):
-        return getattr(self._real, name)
+    def __call__(self):
+        self.starts += 1
+        return self.real()
 
-    def Process(self, *args, **kwargs):
-        proc = self._real.Process(*args, **kwargs)
-        start = proc.start
 
-        def counted_start():
-            self.starts += 1
-            start()
-
-        proc.start = counted_start
-        return proc
+def _assert_no_child():
+    """Assert that this process has no child at all, running or unreaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 @pytest.mark.parametrize("workers", [1, 2, 3, 4])
 def test_race_forks_one_process_fewer_than_workers(monkeypatch, workers):
     monkeypatch.setattr(race, "SOLO_STEPS", 0)
-    counting = _CountingFork(race._FORK)
-    monkeypatch.setattr(race, "_FORK", counting)
+    counting = _CountingFork(monkeypatch)
     outcome = race_factor(SEMIPRIME, RaceConfig(workers=workers, seed=6))
     assert SEMIPRIME % outcome.factor == 0
     assert len(outcome.worker_outcomes) == workers
     assert counting.starts == (workers - 1) * outcome.rounds
-    assert multiprocessing.active_children() == []
+    _assert_no_child()
 
 
 def test_race_child_winner_cancels_the_coordinator(monkeypatch):
@@ -336,7 +330,7 @@ def test_race_child_winner_cancels_the_coordinator(monkeypatch):
         assert out.iterations <= winner_out.iterations + slack, (
             f"worker {idx} ran {out.iterations} iterations"
         )
-    assert multiprocessing.active_children() == []
+    _assert_no_child()
 
 
 def test_race_fails_fast_when_a_child_dies_silently(monkeypatch):
@@ -353,7 +347,34 @@ def test_race_fails_fast_when_a_child_dies_silently(monkeypatch):
     config = RaceConfig(workers=3, seed=1, detector="floyd")
     with _deadline(5), pytest.raises(RuntimeError, match=r"race worker [12] exited with code 3"):
         race_factor(SEMIPRIME, config)
-    assert multiprocessing.active_children() == []
+    _assert_no_child()
+
+
+def test_a_child_never_returns_into_the_callers_frames(monkeypatch, tmp_path):
+    # KeyboardInterrupt is no Exception, so the child cannot report it; it
+    # must still leave through os._exit, not unwind into this test's frames.
+    monkeypatch.setattr(race, "SOLO_STEPS", 0)
+    coordinator = os.getpid()
+    resume = rho.resume
+
+    def interrupted_in_child(n, walk, cancel=None):
+        if os.getpid() != coordinator:
+            raise KeyboardInterrupt
+        return resume(n, walk, cancel)
+
+    monkeypatch.setattr(rho, "resume", interrupted_in_child)
+    ran_in = tmp_path / "pids"
+    lost = r"race worker 1 exited with code [1-9][0-9]* without reporting"
+    try:
+        with _deadline(5), pytest.raises(RuntimeError, match=lost):
+            race_factor(HARD_SEMIPRIME, RaceConfig(workers=2, seed=1))
+    finally:
+        with open(ran_in, "a") as f:
+            f.write(f"{os.getpid()}\n")
+        if os.getpid() != coordinator:
+            os._exit(0)  # a child that got here must not run on into pytest
+    assert ran_in.read_text().split() == [str(coordinator)]
+    _assert_no_child()
 
 
 def test_race_leaves_no_child_when_the_coordinator_is_interrupted(monkeypatch):
@@ -371,7 +392,7 @@ def test_race_leaves_no_child_when_the_coordinator_is_interrupted(monkeypatch):
     monkeypatch.setattr(rho, "resume", interrupted_here)
     with _deadline(5), pytest.raises(KeyboardInterrupt):
         race_factor(SEMIPRIME, RaceConfig(workers=3, seed=1, detector="floyd"))
-    assert multiprocessing.active_children() == []
+    _assert_no_child()
 
 
 def test_race_fails_fast_when_a_child_dies_during_worker_0s_walk(monkeypatch):
@@ -388,12 +409,12 @@ def test_race_fails_fast_when_a_child_dies_during_worker_0s_walk(monkeypatch):
     config = RaceConfig(workers=2, seed=1, detector="brent")
     with _deadline(1), pytest.raises(RuntimeError, match=r"race worker 1 exited with code 3"):
         race_factor(HARD_SEMIPRIME, config)
-    assert multiprocessing.active_children() == []
+    _assert_no_child()
 
 
 def test_race_reports_a_child_lost_after_the_stop_was_sent(monkeypatch):
     # Worker 0 wins in its first batch and sends the stop; the children exit
-    # with it unread, which resets their pipes rather than closing them.
+    # with it unread, and their report pipes read EOF.
     monkeypatch.setattr(race, "SOLO_STEPS", 0)
     coordinator = os.getpid()
     rng = random.Random(20261019)
@@ -412,20 +433,23 @@ def test_race_reports_a_child_lost_after_the_stop_was_sent(monkeypatch):
     lost = r"race worker [12] exited with code 3 without reporting"
     with _deadline(5), pytest.raises(RuntimeError, match=lost):
         race._run_round(n, walks)
-    assert multiprocessing.active_children() == []
+    _assert_no_child()
 
 
-_ANNOUNCE_CHILDREN = f"""
-import multiprocessing
-from rhorace import RaceConfig, factorize, race
+# Script lines that make each race print its children's pids as it forks them.
+_ANNOUNCE_FORKS = """
+from rhorace import race
 
 fork = race._Round.fork
 
 def announce(self):
     fork(self)
-    print(*(p.pid for p in multiprocessing.active_children()), flush=True)
+    print(*self.procs.values(), flush=True)
 
 race._Round.fork = announce
+"""
+_ANNOUNCE_CHILDREN = _ANNOUNCE_FORKS + f"""
+from rhorace import RaceConfig, factorize
 factorize({HARD_SEMIPRIME}, RaceConfig(workers=3))
 """
 
@@ -497,20 +521,18 @@ def test_race_fails_fast_when_a_worker_raises(
             resume(n, replace(walk, params=short), cancel)
         raise ValueError("planted")
 
-    counting = _CountingFork(race._FORK)
-    monkeypatch.setattr(race, "_FORK", counting)
+    counting = _CountingFork(monkeypatch)
     monkeypatch.setattr(rho, "resume", raises_in_one_worker)
     config = RaceConfig(workers=3, seed=1, detector="brent")
     with _deadline(1), pytest.raises(error, match=match):
         race_factor(HARD_SEMIPRIME, config)
     assert counting.starts == forks
-    assert multiprocessing.active_children() == []
+    _assert_no_child()
 
 
 @pytest.mark.parametrize("workers", [2, 3, 4])
 def test_race_forks_only_once_worker_0_passes_the_mark(monkeypatch, workers):
-    counting = _CountingFork(race._FORK)
-    monkeypatch.setattr(race, "_FORK", counting)
+    counting = _CountingFork(monkeypatch)
     short = race_factor(SEMIPRIME, RaceConfig(workers=workers, seed=6))
     assert (short.winner, counting.starts) == (0, 0)
     assert short.worker_outcomes[1:] == [RhoOutcome(CANCELLED, 0)] * (workers - 1)
@@ -518,15 +540,14 @@ def test_race_forks_only_once_worker_0_passes_the_mark(monkeypatch, workers):
     assert long.factor in (5063259979, 94887001943)
     assert len(long.worker_outcomes) == workers
     assert counting.starts == (workers - 1) * long.rounds
-    assert multiprocessing.active_children() == []
+    _assert_no_child()
 
 
 def test_race_worker_0_walks_on_through_the_fork(monkeypatch):
     # Worker 0 wins before the mark on SEMIPRIME and past it on
     # LONG_SEMIPRIME, whose children have a one-step budget: they report
     # and exit at once, which must neither stop worker 0 nor restart it.
-    counting = _CountingFork(race._FORK)
-    monkeypatch.setattr(race, "_FORK", counting)
+    counting = _CountingFork(monkeypatch)
     for n, forks in ((SEMIPRIME, 0), (LONG_SEMIPRIME, 2)):
         params_list = [RhoParams.make(n, 1, x0=5)]
         params_list += [RhoParams.make(n, c, x0=5, max_iters=1) for c in (2, 3)]
@@ -535,12 +556,11 @@ def test_race_worker_0_walks_on_through_the_fork(monkeypatch):
         assert outcomes[0] == brent_attempt(n, params_list[0])
         assert counting.starts == forks
     assert outcomes[1:] == [RhoOutcome(BUDGET_EXHAUSTED, 1)] * 2
-    assert multiprocessing.active_children() == []
+    _assert_no_child()
 
 
 def test_race_forks_the_others_when_worker_0_fails_before_the_mark(monkeypatch):
-    counting = _CountingFork(race._FORK)
-    monkeypatch.setattr(race, "_FORK", counting)
+    counting = _CountingFork(monkeypatch)
     params_list = [
         RhoParams.make(SEMIPRIME, 1, x0=5, max_iters=128),
         RhoParams.make(SEMIPRIME, 2, x0=5),
@@ -549,7 +569,7 @@ def test_race_forks_the_others_when_worker_0_fails_before_the_mark(monkeypatch):
     assert counting.starts == 1
     assert winner == 1
     assert outcomes == [RhoOutcome(BUDGET_EXHAUSTED, 128), brent_attempt(SEMIPRIME, params_list[1])]
-    assert multiprocessing.active_children() == []
+    _assert_no_child()
 
 
 def _record_forks(monkeypatch):
@@ -589,7 +609,7 @@ def test_race_forks_at_worker_0s_first_batch_boundary_past_the_mark(monkeypatch,
     outcomes, winner = race._run_round(HARD_SEMIPRIME, [replace(walk, walked=0), walks[1]])
     assert seen == [fork_at, race.SOLO_STEPS]
     assert outcomes[0].iterations == 254 + 56 * 128
-    assert multiprocessing.active_children() == []
+    _assert_no_child()
 
 
 def test_race_resumes_each_worker_and_reports_its_end_state(monkeypatch):
@@ -600,7 +620,7 @@ def test_race_resumes_each_worker_and_reports_its_end_state(monkeypatch):
     n = p * LONG_SEMIPRIME
     config = RaceConfig(workers=2, seed=6)
     first = race_factor(n, config)
-    assert multiprocessing.active_children() == []
+    _assert_no_child()
     m = n // first.factor
     walks = first.walks_over(m)
     for out, walk in zip(first.worker_outcomes, walks):
@@ -612,7 +632,7 @@ def test_race_resumes_each_worker_and_reports_its_end_state(monkeypatch):
     for out, walk in zip(second.worker_outcomes, walks):
         assert out.walk.walked == walk.walked + out.iterations
         assert out.walk.params == walk.params
-    assert multiprocessing.active_children() == []
+    _assert_no_child()
 
 
 def test_race_ends_a_walk_whose_lifetime_budget_runs_out_mid_race(monkeypatch):
@@ -626,7 +646,7 @@ def test_race_ends_a_walk_whose_lifetime_budget_runs_out_mid_race(monkeypatch):
     assert winner == 0
     assert outcomes[1] == RhoOutcome(BUDGET_EXHAUSTED, 512)
     assert outcomes[1].walk.walked == budget
-    assert multiprocessing.active_children() == []
+    _assert_no_child()
 
 
 def test_unforked_worker_keeps_the_walk_it_was_handed():

@@ -11,7 +11,6 @@ import argparse
 import json
 import os
 import sys
-import time
 
 from . import bench as bench_mod
 from . import race as race_mod
@@ -48,7 +47,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_factor.add_argument("--json", action="store_true", help="emit a JSON object")
     p_factor.add_argument(
         "--detector",
-        choices=sorted(race_mod.DETECTORS),
+        choices=sorted(rho_mod.DETECTORS),
         default=RaceConfig.detector,
         help="cycle detector (default: %(default)s)",
     )
@@ -99,7 +98,6 @@ def cmd_factor(args) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    t0 = time.perf_counter()
     try:
         result = factorize(n, config)
     except FactorizationIncomplete as exc:
@@ -114,12 +112,11 @@ def cmd_factor(args) -> int:
     except KeyboardInterrupt:  # the race has stopped and reaped its children
         print("error: interrupted", file=sys.stderr)
         return 130
-    wall = time.perf_counter() - t0
     if args.json:
         payload = {
             "input": render_natural(n),
             "factors": [{"p": render_natural(p), "k": k} for p, k in result.ordered()],
-            "wall_time_s": wall,
+            "wall_time_s": result.stats.total_s,
             "workers": config.resolved_workers(),
         }
         print(json.dumps(payload))

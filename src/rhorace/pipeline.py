@@ -29,6 +29,12 @@ def default_table() -> PrimeTable:
 
 @dataclass
 class PipelineStats:
+    """Seconds per layer of one factorize call, and its races.
+
+    This is the package's only clock: bench records and factor --json
+    report total_s, which leaves out the one-time build of the table.
+    """
+
     trial_division_s: float = 0.0
     primality_s: float = 0.0
     race_s: float = 0.0

@@ -53,14 +53,12 @@ import os
 import random
 import select
 import signal
-import time
 from contextlib import suppress
 from dataclasses import dataclass
 
 from . import rho
 from .rho import RhoOutcome, RhoParams, Walk
 
-DETECTORS = tuple(rho.DETECTORS)
 # A child's report names its outcome's kind by its index here.
 _KINDS = (rho.FACTOR, rho.NO_FACTOR_CYCLE, rho.BUDGET_EXHAUSTED, rho.CANCELLED)
 MAX_ROUNDS = 16  # rounds a race tries before FactorSearchExhausted
@@ -106,7 +104,7 @@ class RaceConfig:
             raise ValueError("max_iters must be >= 1")
         if self.gcd_batch < 1:
             raise ValueError("gcd_batch must be >= 1")
-        if self.detector not in DETECTORS:
+        if self.detector not in rho.DETECTORS:
             raise ValueError(f"unknown detector {self.detector!r}")
 
     def resolved_workers(self) -> int:
@@ -115,11 +113,14 @@ class RaceConfig:
 
 @dataclass
 class RaceOutcome:
-    """The winning factor plus per-worker accounting for the final round."""
+    """The winning factor plus per-worker accounting for the final round.
+
+    It holds no time: factorize adds each race's time to
+    PipelineStats.race_s, and times the whole call in total_s.
+    """
 
     factor: int
     winner: int
-    wall_time_s: float
     rounds: int
     worker_outcomes: list[RhoOutcome]
 
@@ -350,7 +351,6 @@ def race_factor(
         params = RhoParams.make(n, next(cs), rng.randrange(n), config.max_iters, config.gcd_batch)
         return rho.start(config.detector, params)
 
-    start = time.perf_counter()
     for round_no in range(MAX_ROUNDS):
         try:
             starts = [w if w is not None else fresh() for w in carried]
@@ -362,7 +362,6 @@ def race_factor(
             return RaceOutcome(
                 factor=outcomes[winner].factor,
                 winner=winner,
-                wall_time_s=time.perf_counter() - start,
                 rounds=round_no + 1,
                 worker_outcomes=outcomes,
             )

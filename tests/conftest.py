@@ -1,9 +1,11 @@
 import os
+import time
 from pathlib import Path
 
 import pytest
 
 import rhorace
+from rhorace import pipeline
 from rhorace.sieve import sieve
 
 
@@ -19,3 +21,21 @@ def src_env():
     root: pytest's pythonpath setting reaches only its own sys.path, not a
     child interpreter's."""
     return {**os.environ, "PYTHONPATH": str(Path(rhorace.__file__).resolve().parents[1])}
+
+
+SLOW_BUILD_S = 0.3
+
+
+@pytest.fixture
+def slow_table_build(monkeypatch):
+    """The next factorize call builds the default table, SLOW_BUILD_S slower:
+    a time that leaves the build out stays under SLOW_BUILD_S."""
+
+    def slow_sieve(limit):
+        time.sleep(SLOW_BUILD_S)
+        return sieve(limit)
+
+    pipeline.default_table.cache_clear()
+    monkeypatch.setattr(pipeline, "sieve", slow_sieve)
+    yield SLOW_BUILD_S
+    pipeline.default_table.cache_clear()

@@ -2,7 +2,9 @@
 
 Nothing here imports rhorace.  The oracles avoid the operations they are
 checking: euclid_gcd is the bare subtraction-free Euclid loop, and the
-factorization/primality oracles are plain trial division.
+primality oracle is plain trial division.  The factorization oracle, also
+plain trial division, lives in the package as rhorace.cli._oracle_factorize,
+since selftest's oracle sweep runs it too.
 """
 
 from __future__ import annotations
@@ -27,21 +29,6 @@ def trial_is_prime(n: int) -> bool:
             return False
         d += 2
     return True
-
-
-def trial_factorize(n: int) -> dict[int, int]:
-    """Complete factorization by trial division; fine up to ~1e12."""
-    out: dict[int, int] = {}
-    m = n
-    d = 2
-    while d * d <= m:
-        while m % d == 0:
-            out[d] = out.get(d, 0) + 1
-            m //= d
-        d += 1 if d == 2 else 2
-    if m > 1:
-        out[m] = out.get(m, 0) + 1
-    return out
 
 
 def trial_divide_scan(n: int, primes: list[int]) -> tuple[dict[int, int], int]:

@@ -13,10 +13,10 @@ import time
 
 import pytest
 
-import oracles
 from reference_times import reference_records
 from rhorace import race, rho
 from rhorace.bench import BenchSuite, _random_prime_digits, _random_prime_range, run_suite, summarize
+from rhorace.cli import _oracle_factorize
 from rhorace.pipeline import factorize, verify
 from rhorace.race import RaceConfig
 from rhorace.rho import CANCELLED, FACTOR, RhoParams, rho_attempt
@@ -57,7 +57,7 @@ def test_criterion_1_oracle_equivalence(capsys, table_1e6):
     mismatches = []
     for n in range(1, ORACLE_SWEEP_LIMIT + 1):
         got = factorize(n, config, table_1e6).factors
-        want = oracles.trial_factorize(n)
+        want = _oracle_factorize(n)
         if got != want:
             mismatches.append(n)
             if len(mismatches) > 3:

@@ -24,7 +24,7 @@ from rhorace.bench import (
     _gen_parts,
 )
 from rhorace.numeric import is_probable_prime
-from rhorace.pipeline import factorize
+from rhorace.pipeline import PipelineStats, factorize
 from rhorace.race import RaceConfig
 from rhorace.sieve import DEFAULT_LIMIT
 
@@ -113,6 +113,13 @@ def test_run_suite_produces_verified_records(table_1e6):
     assert len(keys) == 4
 
 
+def test_run_suite_leaves_the_table_build_out_of_the_first_record(slow_table_build):
+    # The first factorize call builds the default table; the record holds
+    # only the factorization's own stats.total_s.
+    records = run_suite(BenchSuite([12], 1, [1], seed=4, small_factor_digits=5))
+    assert records[0].wall_time_s < slow_table_build
+
+
 def test_run_suite_empty_worker_list():
     suite = BenchSuite([12], 2, [], seed=4, small_factor_digits=5)
     assert run_suite(suite, RaceConfig()) == []
@@ -132,6 +139,7 @@ def test_run_suite_mock_counts(monkeypatch):
 
     class FakeResult:
         factors = {3: 1, 5: 1}
+        stats = PipelineStats()
 
     def fake_factorize(n, config):
         calls.append((n, config.workers))

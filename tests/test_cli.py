@@ -50,6 +50,11 @@ def test_factor_json_schema(capsys):
     assert payload["wall_time_s"] >= 0
 
 
+def test_factor_json_leaves_the_table_build_out(capsys, slow_table_build):
+    assert run_cli("factor", "8051", "--json", "--workers", "1") == 0
+    assert json.loads(capsys.readouterr().out)["wall_time_s"] < slow_table_build
+
+
 def test_factor_json_round_trip(capsys):
     for n in ("97", "1", "360", "1000003", "100000980001501"):
         assert run_cli("factor", n, "--workers", "1", "--json") == 0

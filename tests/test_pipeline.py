@@ -5,8 +5,9 @@ import random
 import pytest
 
 import oracles
-from rhorace import pipeline, race
+from rhorace import pipeline, race, rho
 from rhorace.bench import _random_prime_digits
+from rhorace.cli import _oracle_factorize
 from rhorace.numeric import is_probable_prime
 from rhorace.pipeline import (
     Factorization,
@@ -16,6 +17,7 @@ from rhorace.pipeline import (
 )
 from rhorace.race import RaceConfig
 from rhorace.rho import CANCELLED, RhoOutcome, resume
+from rhorace.sieve import sieve
 from test_race import _CountingFork, _assert_no_child
 
 CFG1 = RaceConfig(workers=1, seed=0)
@@ -88,7 +90,34 @@ def test_factorize_splits_the_12_base_pseudoprime(table_1e6):
 
 def test_factorize_matches_oracle_sample(table_1e6):
     for n in range(1, 2001):
-        assert factorize(n, CFG1, table_1e6).factors == oracles.trial_factorize(n)
+        assert factorize(n, CFG1, table_1e6).factors == _oracle_factorize(n)
+
+
+def test_factorize_matches_oracle_through_the_race(monkeypatch):
+    # With a table of just 2, the pre-pass leaves every odd part to
+    # Miller-Rabin and the race, which the 10**6 table never reaches for
+    # n <= 10**5.  An odd part with k prime factors (with multiplicity)
+    # takes k - 1 races and 2k - 1 primality checks.
+    checks = []
+
+    def counting(m):
+        checks.append(m)
+        return is_probable_prime(m)
+
+    monkeypatch.setattr(pipeline, "is_probable_prime", counting)
+    table = sieve(2)
+    races = want_races = want_checks = 0
+    for n in range(1, 10**4 + 1):
+        result = factorize(n, CFG1, table)
+        want = _oracle_factorize(n)
+        assert result.factors == want, n
+        races += len(result.stats.races)
+        k = sum(want.values()) - want.get(2, 0)
+        if k:
+            want_races += k - 1
+            want_checks += 2 * k - 1
+    assert races == want_races == 12_004
+    assert len(checks) == want_checks == 33_994
 
 
 def test_factorize_round_trip_constructed(table_1e6):
@@ -177,7 +206,7 @@ def _three_primes(seed, digits):
     return primes, primes[0] * primes[1] * primes[2]
 
 
-@pytest.mark.parametrize("detector", race.DETECTORS)
+@pytest.mark.parametrize("detector", rho.DETECTORS)
 def test_factorize_resumes_the_walk_on_the_cofactor(monkeypatch, table_1e6, detector):
     races = _record_races(monkeypatch)
     primes, n = _three_primes(8, 8)

@@ -132,7 +132,7 @@ def test_race_config_rejects_bad_values(field, value):
         RaceConfig(**{field: value})
 
 
-@pytest.mark.parametrize("detector", race.DETECTORS)
+@pytest.mark.parametrize("detector", rho.DETECTORS)
 def test_single_worker_race_is_a_direct_attempt(monkeypatch, detector):
     # workers=1 is worker 0 alone; the outcome must be byte-identical to
     # walking the detector with the same derived parameters, also past the
@@ -174,7 +174,6 @@ def test_multiworker_race_finds_valid_factor(workers):
     assert 0 <= outcome.winner < workers
     assert len(outcome.per_worker_iterations) == workers
     assert outcome.worker_outcomes[outcome.winner].kind == FACTOR
-    assert outcome.wall_time_s > 0
     _assert_no_child()
 
 
@@ -206,7 +205,7 @@ def test_race_rejects_bad_inputs():
 def test_race_retries_with_fresh_constants(monkeypatch, tmp_path):
     # Every round-1 walk (c = 1..k) fails; round 2 races k+1..2k for real.
     k = 2
-    for detector in race.DETECTORS:
+    for detector in rho.DETECTORS:
         spy = _ResumeSpy(tmp_path / detector, fails=lambda c: c <= k)
         monkeypatch.setattr(rho, "resume", spy)
         outcome = race_factor(SEMIPRIME, RaceConfig(workers=k, seed=3, detector=detector))
@@ -674,11 +673,11 @@ def test_walks_over_carries_only_walks_that_can_go_on():
         RhoOutcome(BUDGET_EXHAUSTED, 8, None, walk(4)),
         RhoOutcome(CANCELLED, 8, None, walk(m - 2)),  # c = -2 mod m
     ]
-    won = RaceOutcome(1000003, 0, 0.1, 1, outcomes)
+    won = RaceOutcome(1000003, 0, 1, outcomes)
     carried = [walk(1).over(m), walk(2).over(m), never_forked.over(m), None, None, None]
     assert won.walks_over(m) == carried
     assert carried[2].walked == 0
-    lost = RaceOutcome(1000003, 1, 0.1, 1, outcomes[3:])
+    lost = RaceOutcome(1000003, 1, 1, outcomes[3:])
     assert lost.walks_over(m) is None
 
 

@@ -111,12 +111,16 @@ def _worker_0_interrupted(monkeypatch, rng, workers, p):
 
 def _stop_while_booting(monkeypatch, rng, workers, p):
     """Worker 0 finds the factor at its first poll past the mark, so the
-    stop reaches children that are still booting."""
+    stop reaches children that have not taken a step.  Each child waits for
+    the stop before its first step: otherwise a child forked early could
+    find the factor while the caller still forks the next one, and win."""
     coordinator = os.getpid()
     resume = rho.resume
 
     def wins_at_the_fork(n, walk, cancel=None):
         if os.getpid() != coordinator:
+            while not cancel(0):
+                time.sleep(0.0005)
             return resume(n, walk, cancel)
         cancel(race.SOLO_STEPS)  # the poll at the mark forks the others
         return RhoOutcome(FACTOR, race.SOLO_STEPS, p, walk=walk)

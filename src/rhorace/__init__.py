@@ -5,6 +5,9 @@ test, the sieve pre-pass, single rho attempts, the multi-worker race, the
 recursive factorization driver with its verifier, and the benchmark
 harness.  Helpers below that (the decimal wire format, the CSV writers and
 their record types, the plot script) stay importable from their modules.
+The benchmark names load rhorace.bench on first use, so that importing the
+package or the factoring pipeline does not import the harness and its csv
+writers.
 """
 
 from .numeric import is_probable_prime
@@ -28,7 +31,6 @@ from .pipeline import (
     factorize,
     verify,
 )
-from .bench import BenchSuite, gen_input, run_suite, summarize
 
 __version__ = "0.1.0"
 
@@ -61,3 +63,14 @@ __all__ = [
     "summarize",
     "__version__",
 ]
+
+
+_BENCH_NAMES = frozenset({"BenchSuite", "gen_input", "run_suite", "summarize"})
+
+
+def __getattr__(name: str):
+    if name in _BENCH_NAMES:
+        from . import bench
+
+        return getattr(bench, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

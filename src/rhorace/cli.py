@@ -12,10 +12,8 @@ import json
 import os
 import sys
 
-from . import bench as bench_mod
 from . import race as race_mod
 from . import rho as rho_mod
-from .bench import BenchSuite, BenchVerificationError, DESK_CLASSES, _derive_seed
 from .numeric import gcd, parse_natural, render_natural
 from .pipeline import Factorization, FactorizationIncomplete, factorize, verify
 from .race import RaceConfig
@@ -127,12 +125,14 @@ def cmd_factor(args) -> int:
 
 
 def cmd_gen(args) -> int:
+    from .bench import _derive_seed, gen_input
+
     try:
         if args.count < 1:
             raise ValueError("--count must be >= 1")
         for i in range(args.count):
             seed = args.seed if args.count == 1 else _derive_seed(args.seed, args.digits, i)
-            print(bench_mod.gen_input(args.digits, args.small, seed))
+            print(gen_input(args.digits, args.small, seed))
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -140,12 +140,14 @@ def cmd_gen(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    classes = args.classes or ([50, 100, 200] if args.full else list(DESK_CLASSES))
+    from . import bench as bench_mod
+
+    classes = args.classes or ([50, 100, 200] if args.full else list(bench_mod.DESK_CLASSES))
     workers = args.workers or list(bench_mod.DEFAULT_WORKER_COUNTS)
     small = args.small_digits
     if small is None and args.full:
         small = 10
-    suite = BenchSuite(
+    suite = bench_mod.BenchSuite(
         digit_classes=classes,
         numbers_per_class=args.per_class,
         worker_counts=workers,
@@ -166,14 +168,14 @@ def cmd_bench(args) -> int:
         bench_mod.write_records_csv(records, os.path.join(args.out, "records.csv"))
         bench_mod.write_summary_csv(rows, os.path.join(args.out, "summary.csv"))
         bench_mod.write_plot_script(os.path.join(args.out, "plot_speedup.py"))
-    except (BenchVerificationError, OSError) as exc:
+    except (bench_mod.BenchVerificationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    print(f"{'digits':>8} {'workers':>8} {'mean_s':>12} {'speedup':>8}")
+    print(f"{'digits':>8} {'workers':>8} {'mean_ms':>12} {'speedup':>8}")
     for row in rows:
         print(
             f"{row.digit_class:>8} {row.workers:>8} "
-            f"{row.mean_time_s:>12.3f} {row.speedup_vs_1:>8.2f}"
+            f"{row.mean_time_s * 1e3:>12.3f} {row.speedup_vs_1:>8.2f}"
         )
     print(f"wrote records.csv, summary.csv, plot_speedup.py to {args.out}")
     return 0

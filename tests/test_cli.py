@@ -1,5 +1,6 @@
 """Command-line interface tests, run in-process via cli.main."""
 
+import csv
 import json
 import os
 import signal
@@ -138,8 +139,7 @@ def test_bench_writes_outputs(tmp_path, capsys):
         "--out", str(out_dir),
     )
     assert code == 0
-    stdout = capsys.readouterr().out
-    assert "speedup" in stdout
+    lines = capsys.readouterr().out.splitlines()
     records = (out_dir / "records.csv").read_text().strip().splitlines()
     assert records[0] == "digit_class,workers,input_index,wall_time_s,factor_count,verified"
     assert len(records) == 1 + 2 * 2
@@ -147,6 +147,15 @@ def test_bench_writes_outputs(tmp_path, capsys):
     assert summary[0] == "digit_class,workers,mean_time_s,speedup_vs_1"
     assert len(summary) == 1 + 2
     assert (out_dir / "plot_speedup.py").exists()
+    # Each printed row agrees with summary.csv at the printed precision:
+    # the mean to a thousandth of a millisecond, the speedup to a hundredth.
+    assert lines[0].split() == ["digits", "workers", "mean_ms", "speedup"]
+    for line, row in zip(lines[1:3], csv.DictReader(summary)):
+        digits, workers, mean_ms, speedup = line.split()
+        assert (digits, workers) == (row["digit_class"], row["workers"])
+        assert len(mean_ms.split(".")[1]) == 3
+        assert abs(float(mean_ms) - float(row["mean_time_s"]) * 1e3) <= 0.0005 + 1e-9
+        assert abs(float(speedup) - float(row["speedup_vs_1"])) <= 0.005 + 1e-9
 
 
 def test_bench_unwritable_out_exits_one(tmp_path, capsys):

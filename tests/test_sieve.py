@@ -13,6 +13,11 @@ def test_sieve_tiny_limits():
     assert sieve(0).primes == []
     assert sieve(1).primes == []
     assert sieve(2).primes == [2]
+    assert sieve(3).primes == [2, 3]
+    assert sieve(4).primes == [2, 3]
+    assert sieve(5).primes == [2, 3, 5]
+    assert sieve(6).primes == [2, 3, 5]
+    assert sieve(7).primes == [2, 3, 5, 7]
     assert sieve(10).primes == [2, 3, 5, 7]
 
 
@@ -102,7 +107,7 @@ def test_trial_divide_with_empty_table():
 
 
 def _table_with_a_short_last_block():
-    table = sieve(5000)  # 669 primes: one full block and a short one
+    table = sieve(25000)  # 2762 primes: one full block and a short one
     assert BLOCK_SIZE < len(table.primes) < 2 * BLOCK_SIZE
     return table
 
@@ -113,6 +118,7 @@ def test_prime_table_blocks_cover_the_primes(table_1e6):
         assert len(primes) % BLOCK_SIZE != 0
         starts = [start for start, _ in table.blocks]
         assert starts == list(range(0, len(primes), BLOCK_SIZE))
+        assert table.width == max(len(chunks) for _, chunks in table.blocks)
         for start, chunks in table.blocks:
             expected = 1
             for p in primes[start : start + BLOCK_SIZE]:
@@ -126,9 +132,12 @@ def test_prime_table_blocks_cover_the_primes(table_1e6):
 
 def test_prime_table_blocks_stay_out_of_repr_and_equality():
     assert PrimeTable(1, []).blocks == []
+    assert PrimeTable(1, []).width == 0
     table = PrimeTable(10, [2, 3, 5, 7])
     assert table.blocks == [(0, [210])]
+    assert table.width == 1
     assert "blocks" not in repr(table)
+    assert "width" not in repr(table)
     assert sieve(10) == table
     assert _table_with_a_short_last_block().blocks[-1][0] == BLOCK_SIZE
 
@@ -184,15 +193,60 @@ def test_trial_divide_matches_full_scan_constructed(table_1e6):
         _scan_matches(n, table_1e6)
 
 
+def test_trial_divide_matches_full_scan_within_one_block(table_1e6):
+    # Two and three primes from one block.  Its scan peels the lowest of
+    # them; the rest of the gcd is one prime once it is below the square of
+    # the block's first prime (every single prime of a block but the first
+    # is), and two or more primes, at least that square, are scanned on.
+    P = table_1e6.primes
+    big = 1000003  # prime just above the limit
+    blocks = table_1e6.blocks
+    cases = [3 * big, 6 * big, 30 * big, 2 * P[BLOCK_SIZE - 1] * big]  # block 0: the square is 4
+    for start, _ in [blocks[1], blocks[2], blocks[len(blocks) // 2], blocks[-2], blocks[-1]]:
+        block = P[start : start + BLOCK_SIZE]
+        first, second, third, last = block[0], block[1], block[2], block[-1]
+        # The rest of the gcd after the first prime's peel: the last prime is
+        # the largest one below the square, second * third the least above it.
+        assert second * third > first * first > last
+        cases += [
+            first * last,
+            first * second * big,
+            first * second * third * big,
+            first * second * last * big,
+            first**3 * last**2 * big,
+            second * last * big**2,
+            block[len(block) // 2] * last,
+        ]
+    # A peel that shrinks m, then later blocks that work on powers of two
+    # reduced mod that smaller m: a 200-digit n whose block-0 part is most
+    # of it, and a peel in each block on the way to the last one.
+    B = BLOCK_SIZE
+    cases += [
+        2**600 * 3**50 * P[B + 3] * P[5 * B + 7] * P[-1] * big,
+        P[B - 1] ** 40 * P[B] * P[2 * B - 1] * P[20 * B] * P[-1] ** 2,
+        math.prod(P[start] * P[start + 1] for start, _ in table_1e6.blocks) * big,
+        P[0] ** 300 * P[-2] * P[-1] * big,
+    ]
+    for n in cases:
+        _scan_matches(n, table_1e6)
+
+
 def test_trial_divide_matches_full_scan_partial_last_block():
     table = _table_with_a_short_last_block()
     assert len(table.primes) % BLOCK_SIZE != 0
     rng = random.Random(2000)
     P = table.primes
     B = BLOCK_SIZE
-    above = [5003, 5009]  # the first primes past the limit
-    cases = list(range(1, 12500))  # to 2.5 times the limit
-    cases += [P[i] * P[j] for i in (B - 2, B - 1, B, len(P) - 1) for j in range(len(P))]
+    limit = table.limit
+    above = [25013, 25031]  # the first primes past the limit
+    # Every n below 1000 and around the limit, and a sample of the rest up
+    # to 2.5 times the limit: every n that far would cost a 2762-prime
+    # oracle scan each.
+    cases = [*range(1, 1000), *range(limit - 200, limit + 200), *range(5 * limit // 2 - 100, 5 * limit // 2)]
+    cases += rng.sample(range(1000, 5 * limit // 2), 1000)
+    partners = [0, 1, 2, B - 2, B - 1, B, B + 1, len(P) - 2, len(P) - 1]
+    partners += rng.sample(range(len(P)), 100)
+    cases += [P[i] * P[j] for i in (B - 2, B - 1, B, len(P) - 1) for j in partners]
     cases += [rng.randrange(1, 10**30) for _ in range(300)]
     cases += [P[-1] ** 5, P[-1] * above[0], P[-1] * above[0] * above[1], math.prod(P[B - 6 :])]
     for n in cases:

@@ -1,8 +1,9 @@
 """Command line front end: factor numbers, generate inputs, run benchmarks.
 
-Exit codes: 0 success, 1 runtime failure (incomplete factorization, bench
-verification or I/O trouble, selftest failures), 2 usage errors, 130 a
-factor run stopped by Ctrl-C (SIGINT).
+Exit codes: 0 success, 1 runtime failure (incomplete factorization, a
+race worker that raised or was lost, bench verification or I/O trouble,
+selftest failures), 2 usage errors, 130 a factor run stopped by Ctrl-C
+(SIGINT).
 """
 
 from __future__ import annotations
@@ -106,6 +107,9 @@ def cmd_factor(args) -> int:
             f"(partial factorization above)",
             file=sys.stderr,
         )
+        return 1
+    except RuntimeError as exc:  # a race worker raised or was lost; the race reaped its children
+        print(f"error: {exc}", file=sys.stderr)
         return 1
     except KeyboardInterrupt:  # the race has stopped and reaped its children
         print("error: interrupted", file=sys.stderr)

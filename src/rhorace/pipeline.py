@@ -90,8 +90,6 @@ def factorize(
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    if config is None:
-        config = RaceConfig()
     if table is None:
         table = default_table()
     t_start = time.perf_counter()
@@ -105,29 +103,30 @@ def factorize(
 
     # Each entry is a cofactor and the walks to race it with, or None.
     stack = [(cofactor, None)] if cofactor > 1 else []
-    while stack:
-        m, walks = stack.pop()
-        t0 = time.perf_counter()
-        prime = is_probable_prime(m)
-        stats.primality_s += time.perf_counter() - t0
-        if prime:
-            counts[m] += 1
-            continue
-        t0 = time.perf_counter()
-        try:
-            outcome = race_factor(m, config, walks)
-        except FactorSearchExhausted as exc:
-            stats.race_s += time.perf_counter() - t0
-            stats.total_s = time.perf_counter() - t_start
-            partial = Factorization(n, dict(counts), stats)
-            raise FactorizationIncomplete(partial, m, [m, *(c for c, _ in stack)]) from exc
-        stats.race_s += time.perf_counter() - t0
-        stats.races.append(outcome)
-        d = outcome.factor
-        stack.append((d, None))
-        stack.append((m // d, outcome.walks_over(m // d)))
-    stats.total_s = time.perf_counter() - t_start
-    return Factorization(n, dict(counts), stats)
+    try:
+        while stack:
+            m, walks = stack.pop()
+            t0 = time.perf_counter()
+            prime = is_probable_prime(m)
+            stats.primality_s += time.perf_counter() - t0
+            if prime:
+                counts[m] += 1
+                continue
+            t0 = time.perf_counter()
+            try:
+                outcome = race_factor(m, config, walks)
+            except FactorSearchExhausted as exc:
+                partial = Factorization(n, dict(counts), stats)
+                raise FactorizationIncomplete(partial, m, [m, *(c for c, _ in stack)]) from exc
+            finally:
+                stats.race_s += time.perf_counter() - t0
+            stats.races.append(outcome)
+            d = outcome.factor
+            stack.append((d, None))
+            stack.append((m // d, outcome.walks_over(m // d)))
+        return Factorization(n, dict(counts), stats)
+    finally:  # after each race's own finally, so total_s covers its race_s
+        stats.total_s = time.perf_counter() - t_start
 
 
 def verify(result: Factorization) -> bool:
@@ -136,11 +135,6 @@ def verify(result: Factorization) -> bool:
     True iff the factors multiply back to the input and every base passes
     its own primality test.  Trusts nothing recorded during the run.
     """
-    prod = 1
-    for p, k in result.factors.items():
-        if p < 2 or k < 1:
-            return False
-        prod *= p**k
-    if prod != result.input:
+    if any(p < 2 or k < 1 for p, k in result.factors.items()) or result.product() != result.input:
         return False
     return all(is_probable_prime(p) for p in result.factors)

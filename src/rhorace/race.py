@@ -11,21 +11,21 @@ one forks the k-1 children at that mark while worker 0 walks on without a
 restart.
 
 Each child is a bare os.fork() with two pipes to the caller.  The stop
-pipe carries one byte down when the caller stops the child, and its read
-end turns readable with EOF as well once the caller has exited.  The
-report pipe carries one line up: decimal ints from which the caller
-rebuilds the child's outcome and walk, or "!" and the repr of the child's
-exception, so no Python object crosses the fork.  The child first
-closes every caller end of a pipe that it inherited, so that only its
-caller holds the write end of its stop pipe, and it never returns into
-the caller's frames: it leaves through os._exit, with code 0 only once it
-has reported.  Every worker polls once per gcd batch: a child selects on
-its stop pipe, so it stops when the caller stops it or dies; worker 0
-selects on the report pipes of the children that have not reported, so it
-stops for a child's factor or error, or for a child whose pipe reads EOF
-before a whole report, whose exit code os.waitpid then gives.  The first
-factor found writes a stop down every open pipe, and on every way out of
-a round the caller kills and reaps each child with SIGTERM and waitpid.
+pipe carries nothing: closing the caller's end is the stop, the same EOF
+a dead caller gives, and the child's read end turns readable with it.
+The report pipe carries one line up: the outcome's kind and decimal ints
+from which the caller rebuilds the child's outcome and walk, or "!" and
+the repr of the child's exception, so no Python object crosses the fork.
+The child first closes every caller end of a pipe that it inherited, so
+that only its caller holds the write end of its stop pipe, and it never
+returns into the caller's frames: it leaves through os._exit, with code 0
+only once it has reported.  Every worker polls once per gcd batch: a
+child selects on its stop pipe; worker 0 selects on the report pipes of
+the children that have not reported, so it stops for a child's factor or
+error, or for a child whose pipe reads EOF before a whole report, whose
+exit code os.waitpid then gives.  The first factor found stops every
+child that has not reported, and on every way out of a round the caller
+kills and reaps each child with SIGTERM and waitpid.
 
 Every worker's start is a rho.Walk.  race_factor can be handed one walk
 per worker to resume (RaceOutcome.walks_over gives them for a cofactor of
@@ -53,14 +53,11 @@ import os
 import random
 import select
 import signal
-from contextlib import suppress
 from dataclasses import dataclass
 
 from . import rho
 from .rho import RhoOutcome, RhoParams, Walk
 
-# A child's report names its outcome's kind by its index here.
-_KINDS = (rho.FACTOR, rho.NO_FACTOR_CYCLE, rho.BUDGET_EXHAUSTED, rho.CANCELLED)
 MAX_ROUNDS = 16  # rounds a race tries before FactorSearchExhausted
 # Worker 0 walks this many steps alone before workers 1..k-1 are forked:
 # 52 batches of 128, about 3.3 ms of Brent steps on a 21-digit n, a little
@@ -161,24 +158,23 @@ def _constants(n, used):
 def _child_main(n, walk, stop, report, callers_ends):
     """A forked worker: walk until done or stopped, report, then _exit.
 
-    stop turns readable once the caller writes its stop byte or exits, so
-    the walk selects on it once per batch.  The report written to report
-    is one line: the outcome's kind (its index in _KINDS), iterations,
-    factor (0 for none), the walk's lifetime walked and its state, all
-    decimal ints; an exception is "!" and its repr instead.  The caller's
-    ends of the pipes made so far, this child's own among them, came along
-    with the fork: closing them lets every child see EOF when the caller
-    dies.  The child never returns into the caller's frames: whatever it
-    meets, a BaseException included, it leaves through os._exit, with code
-    0 only once its report is written.
+    The walk selects on stop once per batch.  The report written to report
+    is one line: the outcome's kind, then its iterations, factor (0 for
+    none), the walk's lifetime walked and its state as decimal ints; an
+    exception is "!" and its repr instead.  The caller's ends of the pipes
+    made so far, this child's own among them, came along with the fork:
+    closing them leaves the caller the only writer of each stop pipe.  The
+    child never returns into the caller's frames: whatever it meets, a
+    BaseException included, it leaves through os._exit, with code 0 only
+    once its report is written.
     """
     try:
         for fd in callers_ends:
             os.close(fd)
         try:
             out = rho.resume(n, walk, lambda steps: bool(select.select([stop], [], [], 0)[0]))
-            ints = (_KINDS.index(out.kind), out.iterations, out.factor or 0, out.walk.walked)
-            line = " ".join(map(str, ints + out.walk.state))
+            ints = (out.iterations, out.factor or 0, out.walk.walked, *out.walk.state)
+            line = " ".join(map(str, (out.kind, *ints)))
         except Exception as exc:  # report instead of hanging the coordinator
             line = "!" + repr(exc)
         os.write(report, f"{line}\n".encode())
@@ -199,10 +195,12 @@ class _Round:
     over the report pipes of the children that have not reported, skipped
     while none is open: a report pipe turns readable when its child
     reports an outcome or an error, or exits without reporting.  The first
-    factor, worker 0's or a child's, writes a stop byte down the pipe of
-    every child that has not reported.  A child's error, or a child lost,
-    raises RuntimeError at once; a lost child is one whose report pipe
-    reads EOF before a whole line, and os.waitpid gives its exit code.
+    factor, worker 0's or a child's, stops every child that has not
+    reported.  A child's error, or a child lost, raises RuntimeError at
+    once; a lost child is one whose report pipe reads EOF before a whole
+    line, and os.waitpid gives its exit code.  Each worker's outcome starts
+    as RhoOutcome(CANCELLED, 0) carrying the walk it was handed, which is
+    what a worker that is never forked reports.
     """
 
     def __init__(self, n, walks):
@@ -210,9 +208,9 @@ class _Round:
         self.walks = walks
         self.forked = False
         self.procs = {}  # child index -> pid, until the child is reaped
-        self.stops = {}  # child index -> caller's end of its stop pipe
+        self.stops = {}  # child index -> caller's end of its stop pipe, until it is stopped
         self.pipes = {}  # caller's end of a report pipe -> child index, until it reports
-        self.results: dict[int, RhoOutcome] = {}
+        self.results = [RhoOutcome(rho.CANCELLED, 0, walk=walk) for walk in walks]
         self.winner = None
 
     def poll(self, steps):
@@ -250,8 +248,7 @@ class _Round:
         if out.found and self.winner is None:
             self.winner = idx
             for i in self.pipes.values():
-                with suppress(BrokenPipeError):  # that child has exited; its report pipe tells how
-                    os.write(self.stops[i], b"\0")
+                os.close(self.stops.pop(i))
 
     def read(self, fd):
         """Take the report a readable pipe holds; fail on an error or EOF."""
@@ -266,15 +263,15 @@ class _Round:
             raise RuntimeError(f"race worker {idx} exited with code {code} without reporting")
         if line.startswith("!"):
             raise RuntimeError(f"race worker(s) failed: {[(idx, line[1:-1])]}")
-        kind, iterations, factor, walked, *state = map(int, line.split())
+        kind, *ints = line.split()
+        iterations, factor, walked, *state = map(int, ints)
         walk = Walk(self.walks[idx].step, self.walks[idx].params, tuple(state), walked)
-        self.report(idx, RhoOutcome(_KINDS[kind], iterations, factor or None, walk))
+        self.report(idx, RhoOutcome(kind, iterations, factor or None, walk))
 
     def close(self):
         """Close the caller's pipe ends, then kill and reap every child.
 
-        A closed stop pipe reads EOF, which stops its child at its next
-        batch; SIGTERM stops it at once.  An exited child stays a zombie
+        SIGTERM stops a child at once, and an exited child stays a zombie
         until waitpid reaps it, so the kill cannot miss.
         """
         for fd in [*self.stops.values(), *self.pipes]:
@@ -292,18 +289,14 @@ def _run_round(n, walks):
     nothing is forked.  Returns (outcomes by worker index, index of the
     first worker whose factor was reported, or None); each outcome's walk
     is where that worker stopped.  If worker 0 finds a factor within its
-    SOLO_STEPS head start, no child is forked and every other outcome is
-    RhoOutcome(CANCELLED, 0) carrying the walk it was handed; if it fails
-    within it, the others are forked then.  Once children exist, the first
-    factor stops the others at their next batch boundary: worker 0 through
-    its poll, each child through the stop the caller writes down its pipe,
-    which a child's factor reaches through worker 0's next poll.  A child
-    that raises, or exits without reporting, fails the round with
-    RuntimeError; an exception of worker 0 propagates as it is.  On every
-    way out, errors and KeyboardInterrupt included, every child is killed
-    and reaped, so no worker computation survives this call; if the caller
-    itself is killed, each child reads EOF on its stop pipe and stops
-    within a batch.
+    SOLO_STEPS head start, no child is forked; if it fails within it, the
+    others are forked then.  Once children exist, the first factor stops
+    the others at their next batch boundary; a child's factor reaches the
+    caller through worker 0's next poll.  A child that raises, or exits
+    without reporting, fails the round with RuntimeError; an exception of
+    worker 0 propagates as it is.  On every way out, errors and
+    KeyboardInterrupt included, every child is killed and reaped, so no
+    worker computation survives this call.
     """
     this_round = _Round(n, walks)
     try:
@@ -313,11 +306,7 @@ def _run_round(n, walks):
         while this_round.pipes:
             for fd in select.select(list(this_round.pipes), [], [])[0]:
                 this_round.read(fd)
-        outcomes = [
-            this_round.results.get(i) or RhoOutcome(rho.CANCELLED, 0, walk=walk)
-            for i, walk in enumerate(walks)
-        ]
-        return outcomes, this_round.winner
+        return this_round.results, this_round.winner
     finally:
         this_round.close()
 

@@ -12,10 +12,11 @@ from contextlib import suppress
 import pytest
 
 from rhorace import cli
+from rhorace import race as race_mod
 from rhorace import rho as rho_mod
 from rhorace.bench import gen_input
 from rhorace.race import RaceConfig
-from test_race import _ANNOUNCE_FORKS, _deadline, _gone
+from test_race import _ANNOUNCE_FORKS, HARD_SEMIPRIME, _assert_no_child, _deadline, _gone
 
 
 def run_cli(*argv):
@@ -87,6 +88,29 @@ def test_factor_incomplete_exits_one(capsys):
     assert code == 1
     err = capsys.readouterr().err
     assert "gave up" in err
+
+
+def test_factor_failed_worker_exits_one(monkeypatch, capsys):
+    # The forked child raises at its first batch; worker 0 cannot split
+    # HARD_SEMIPRIME first, so the child's error ends the race.
+    monkeypatch.setattr(race_mod, "SOLO_STEPS", 0)
+    caller = os.getpid()
+    resume = rho_mod.resume
+
+    def child_raises(n, walk, cancel=None):
+        if os.getpid() == caller:
+            return resume(n, walk, cancel)
+        raise ValueError("planted")
+
+    monkeypatch.setattr(rho_mod, "resume", child_raises)
+    with _deadline(10):
+        code = run_cli("factor", str(HARD_SEMIPRIME), "--workers", "2")
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: race worker")
+    _assert_no_child()
 
 
 def test_factor_brent_detector(capsys):

@@ -158,6 +158,9 @@ def test_factorize_incomplete_carries_partial(table_1e6, monkeypatch):
     for m in err.pending:
         prod *= m
     assert prod == n
+    stats = err.partial.stats
+    assert stats.race_s > 0
+    assert stats.trial_division_s + stats.primality_s + stats.race_s <= stats.total_s * 1.05
 
 
 def test_stats_time_accounting(table_1e6):

@@ -6,7 +6,7 @@ import pytest
 
 import rhorace
 from rhorace import pipeline
-from rhorace.sieve import sieve
+from rhorace.sieve import load_table, sieve
 
 
 @pytest.fixture(scope="session")
@@ -28,14 +28,18 @@ SLOW_BUILD_S = 0.3
 
 @pytest.fixture
 def slow_table_build(monkeypatch):
-    """The next factorize call builds the default table, SLOW_BUILD_S slower:
-    a time that leaves the build out stays under SLOW_BUILD_S."""
+    """The next factorize call loads the default table, SLOW_BUILD_S slower:
+    a time that leaves the load out stays under SLOW_BUILD_S.  The test must
+    run the slowed loader exactly once, or the fixture slowed nothing."""
+    calls = []
 
-    def slow_sieve(limit):
+    def slow_load():
+        calls.append(None)
         time.sleep(SLOW_BUILD_S)
-        return sieve(limit)
+        return load_table()
 
     pipeline.default_table.cache_clear()
-    monkeypatch.setattr(pipeline, "sieve", slow_sieve)
+    monkeypatch.setattr(pipeline, "load_table", slow_load)
     yield SLOW_BUILD_S
     pipeline.default_table.cache_clear()
+    assert len(calls) == 1

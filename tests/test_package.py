@@ -67,11 +67,35 @@ def test_top_level_names_only_what_users_call():
 
 def test_import_builds_no_prime_table(src_env):
     # The pre-pass table is built on first use, not at import: a fresh
-    # interpreter that only imports the package has an empty cache.
+    # interpreter that only imports the package has an empty cache.  The
+    # table is then loaded, not sieved, and its primes list is built only
+    # when a pre-pass scans a block.  846473095399770657989 has no prime
+    # factor under the limit, and 999983 is alone in its block's gcd, so
+    # neither scans; 3 and 5 share block 0, so 3 * 5 * 1000003 does.
     code = (
+        "import sys\n"
         "import rhorace\n"
         "from rhorace import pipeline\n"
         "print(pipeline.default_table.cache_info().currsize)\n"
+        "module = sys.modules['rhorace.sieve']\n"
+        "calls = []\n"
+        "def counted(fn):\n"
+        "    def wrapper(*args):\n"
+        "        calls.append(fn.__name__)\n"
+        "        return fn(*args)\n"
+        "    return wrapper\n"
+        "rhorace.sieve = module.sieve = counted(module.sieve)\n"
+        "module._primes_upto = counted(module._primes_upto)\n"
+        "table = pipeline.default_table()\n"
+        "rhorace.factorize(846473095399770657989)\n"
+        "rhorace.factorize(999983 * 1000003)\n"
+        "print('primes' in vars(table), calls)\n"
+        "result = rhorace.factorize(3 * 5 * 1000003)\n"
+        "print('primes' in vars(table), calls, result.factors)\n"
     )
     out = subprocess.run([sys.executable, "-c", code], env=src_env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "0"
+    assert out.stdout.splitlines() == [
+        "0",
+        "False []",
+        "True ['_primes_upto'] {3: 1, 5: 1, 1000003: 1}",
+    ]

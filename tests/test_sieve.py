@@ -2,11 +2,26 @@
 
 import math
 import random
+import re
+from pathlib import Path
 
 import pytest
 
 import oracles
-from rhorace.sieve import BLOCK_SIZE, CHUNK_BITS, MEMORY_CAP, PrimeTable, sieve, trial_divide
+from rhorace.pipeline import default_table
+from rhorace.sieve import (
+    BLOCK_SIZE,
+    CHUNK_BITS,
+    DEFAULT_LIMIT,
+    MEMORY_CAP,
+    TABLE_PATH,
+    WORD,
+    PrimeTable,
+    encode_table,
+    load_table,
+    sieve,
+    trial_divide,
+)
 
 
 def test_sieve_tiny_limits():
@@ -283,3 +298,34 @@ def test_trial_divide_matches_full_scan_paper_sizes(table_1e6):
     empty = PrimeTable(1, [])
     for n in cases:
         assert trial_divide(n, empty) == ({}, n) == oracles.trial_divide_scan(n, empty.primes)
+
+
+def test_committed_table_file_is_the_encoded_sieve(table_1e6):
+    # Regenerate the file with the command in rhorace.sieve's docstring.
+    assert table_1e6.limit == DEFAULT_LIMIT
+    assert encode_table(table_1e6) == Path(TABLE_PATH).read_bytes()
+
+
+def test_default_table_matches_the_sieve(table_1e6):
+    table = default_table()
+    assert table.limit == table_1e6.limit
+    assert table.blocks == table_1e6.blocks
+    assert table.firsts == table_1e6.firsts
+    assert table.width == table_1e6.width
+    assert table.primes == table_1e6.primes
+    assert table == table_1e6
+
+
+def test_load_table_rejects_a_stale_or_cut_file(tmp_path):
+    data = Path(TABLE_PATH).read_bytes()
+    stale = tmp_path / "stale.bin"
+    stale.write_bytes(data[:WORD] + (BLOCK_SIZE // 2).to_bytes(WORD, "little") + data[2 * WORD :])
+    with pytest.raises(ValueError, match=re.escape(str((DEFAULT_LIMIT, BLOCK_SIZE // 2, CHUNK_BITS)))):
+        load_table(str(stale))
+    cut = tmp_path / "cut.bin"
+    cut.write_bytes(data[:-1])
+    with pytest.raises(ValueError, match="ends inside block"):
+        load_table(str(cut))
+    whole = tmp_path / "whole.bin"
+    whole.write_bytes(data)
+    assert load_table(str(whole)).blocks == load_table().blocks

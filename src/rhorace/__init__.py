@@ -20,7 +20,6 @@ from .rho import (
     RhoOutcome,
     RhoParams,
     brent_attempt,
-    default_max_iters,
     rho_attempt,
 )
 from .race import FactorSearchExhausted, RaceConfig, RaceOutcome, race_factor
@@ -46,7 +45,6 @@ __all__ = [
     "RhoOutcome",
     "RhoParams",
     "brent_attempt",
-    "default_max_iters",
     "rho_attempt",
     "FactorSearchExhausted",
     "RaceConfig",

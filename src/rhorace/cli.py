@@ -50,7 +50,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=RaceConfig.detector,
         help="cycle detector (default: %(default)s)",
     )
-    p_factor.add_argument("--max-iters", type=int, default=None, help="per-attempt budget")
+    p_factor.add_argument("--max-iters", type=int, default=None, help="per-walk budget (default: none)")
     p_factor.add_argument("--gcd-batch", type=int, default=rho_mod.DEFAULT_GCD_BATCH)
     p_factor.set_defaults(func=cmd_factor)
 
@@ -214,13 +214,15 @@ def _selftest_checks(limit: int):
             if gcd(a, b) != want:
                 return f"gcd{(a, b)} != {want}"
 
+    # Each walk has a budget, so that a broken attempt loop fails a check
+    # instead of walking forever.
     def check_rho():
-        out = rho_attempt(8051, RhoParams.make(8051, c=1, x0=2, gcd_batch=1))
+        out = rho_attempt(8051, RhoParams.make(8051, c=1, x0=2, max_iters=10**5, gcd_batch=1))
         if not out.found or out.factor not in (83, 97):
             return f"rho on 8051 returned {out}"
 
     def check_race():
-        outcome = race_mod.race_factor(8051, RaceConfig(workers=1, seed=1))
+        outcome = race_mod.race_factor(8051, RaceConfig(workers=1, seed=1, max_iters=10**5))
         if 8051 % outcome.factor or outcome.factor in (1, 8051):
             return f"race on 8051 returned {outcome.factor}"
 

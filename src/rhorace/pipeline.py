@@ -90,7 +90,7 @@ def factorize(
     The result is independent of worker count and schedule: whichever factor
     a race happens to win with, the recursion refines it to the same prime
     multiset.  Raises FactorizationIncomplete if some cofactor survives
-    every retry round (astronomically unlikely at sane budgets).
+    every retry round (astronomically unlikely without a budget).
     """
     if n < 1:
         raise ValueError("n must be >= 1")

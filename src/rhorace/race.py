@@ -84,8 +84,8 @@ class RaceConfig:
 
     Every fresh walk takes the race's next unused constant c = 1, 2, 3, ...;
     seed seeds the generator that draws each fresh walk's start value.
-    max_iters=None sizes the budget from n at attempt time.  Bad values
-    raise ValueError when the config is made.
+    max_iters=None means no budget: a walk ends on a factor, its cycle or
+    a cancel.  Bad values raise ValueError when the config is made.
     """
 
     workers: int = 0
@@ -325,6 +325,11 @@ def race_factor(
     and a race with no walks starts on 1..k.  Rounds retry on fresh walks
     until a factor appears or MAX_ROUNDS rounds have failed; either, or
     running out of unused constants, raises FactorSearchExhausted.
+
+    The pipeline races only composites.  A direct call on a prime p can
+    find no factor: with no budget, each walk of each of the MAX_ROUNDS
+    rounds runs until its cycle mod p, about sqrt(p) steps, before
+    FactorSearchExhausted.  No time limit bounds such a call.
     """
     config = config or RaceConfig()
     if n < 3 or n % 2 == 0:

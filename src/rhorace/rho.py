@@ -23,8 +23,13 @@ walked over the walk's whole life.  resume continues any Walk, and
 Walk.over reduces one mod a divisor m of its n, as in Knuth's rho
 Algorithm B (TAOCP Vol. 2, 4.5.4, step B3): a walk of x*x + c mod n, read
 mod m, is a walk of x*x + c mod m, so after a split the walk goes on over
-the cofactor instead of starting again.  The budget counts over the
-walk's whole life.
+the cofactor instead of starting again.
+
+A walk has no iteration budget unless its params set one: it ends on a
+factor, on its cycle or on a cancel.  On a prime p the cycle, with no
+factor, comes after about sqrt(p) steps.  A budget that is set,
+max_iters, counts over the walk's whole life, on every modulus it is
+carried to.
 
 Attempts are deterministic in (n, params).  They may fail to find a factor;
 they never report a wrong one.
@@ -44,29 +49,6 @@ BUDGET_EXHAUSTED = "budget-exhausted"
 CANCELLED = "cancelled"
 
 DEFAULT_GCD_BATCH = 128
-_MIN_BUDGET = 100_000
-
-
-def _ceil_4th_root(n: int) -> int:
-    r = math.isqrt(math.isqrt(n))
-    while r**4 < n:
-        r += 1
-    return r
-
-
-def default_max_iters(n: int, gcd_batch: int = DEFAULT_GCD_BATCH) -> int:
-    """Iteration budget for one attempt on n.
-
-    Iterations are Floyd iterations for rho_attempt and fast-pointer steps
-    for brent_attempt; Brent needs about twice as many steps as Floyd needs
-    iterations to find the same factor, each step cheaper.  A successful
-    Floyd attempt on a semiprime with smallest factor p needs about
-    sqrt(p) <= n**(1/4) iterations, so 8 * ceil(n**(1/4)) catches all but the
-    unluckiest c, with room for Brent's factor of two; the batch factor keeps
-    the bound meaningful when gcds are coarse, and the floor keeps small
-    inputs from starving.
-    """
-    return max(_MIN_BUDGET, 8 * _ceil_4th_root(n) * gcd_batch)
 
 
 @dataclass(frozen=True)
@@ -75,7 +57,7 @@ class RhoParams:
 
     c: int
     x0: int
-    max_iters: int
+    max_iters: int | None
     gcd_batch: int = DEFAULT_GCD_BATCH
 
     @classmethod
@@ -87,9 +69,7 @@ class RhoParams:
         max_iters: int | None = None,
         gcd_batch: int = DEFAULT_GCD_BATCH,
     ) -> "RhoParams":
-        """Build params reduced mod n, with the budget defaulted from n."""
-        if max_iters is None:
-            max_iters = default_max_iters(n, gcd_batch)
+        """Build params reduced mod n; max_iters None means no budget."""
         params = cls(c % n, x0 % n, max_iters, gcd_batch)
         params.validate_for(n)
         return params
@@ -97,7 +77,7 @@ class RhoParams:
     def validate_for(self, n: int) -> None:
         if self.gcd_batch < 1:
             raise ValueError("gcd_batch must be >= 1")
-        if self.max_iters < 1:
+        if self.max_iters is not None and self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
         if not 0 <= self.x0 < n:
             raise ValueError(f"x0 must lie in [0, {n})")
@@ -111,11 +91,12 @@ class Walk:
     """Where a walk stopped, ready to resume on its n or on a divisor of it.
 
     step is the detector's advance factory (_floyd or _brent).  params hold
-    c and x0 as residues mod the n the walk is on now, and max_iters is
-    still the budget of the n it started on.  state is the detector's
-    state: Floyd's (tort, hare), Brent's (x, y, r, k).  walked counts every
-    step of the walk's life, replays included, and the driver starts no
-    batch once walked reaches params.max_iters.
+    c and x0 as residues mod the n the walk is on now.  state is the
+    detector's state: Floyd's (tort, hare), Brent's (x, y, r, k).  walked
+    counts every step of the walk's life, replays included.  A budget
+    params.max_iters, if set, covers that whole life and carries over
+    unchanged to every cofactor the walk is reduced to: the driver starts
+    no batch once walked reaches it.  None means no budget.
     """
 
     step: Callable
@@ -213,8 +194,9 @@ def resume(n: int, walk: Walk, cancel=None) -> RhoOutcome:
     """Walk on from where walk stopped, on n, one batch at a time.
 
     n is the walk's own n, or the divisor that walk.over reduced it to.
-    The budget walk.params.max_iters counts the walk.walked steps already
-    taken; the outcome's iterations count only the steps of this call.
+    A budget walk.params.max_iters counts the walk.walked steps already
+    taken; None walks on until a factor, the cycle or a cancel.  The
+    outcome's iterations count only the steps of this call.
     walk.step(n, c) returns advance, and advance(state, cap) takes at most
     cap steps from state and returns (state, q, steps, met): q is the
     product mod n of the differences the detector compared in those steps
@@ -231,7 +213,7 @@ def resume(n: int, walk: Walk, cancel=None) -> RhoOutcome:
     params = walk.params
     params.validate_for(n)
     advance = walk.step(n, params.c)
-    budget = params.max_iters
+    budget = math.inf if params.max_iters is None else params.max_iters
     state = walk.state
     walked = iters = walk.walked
     kind, factor = BUDGET_EXHAUSTED, None

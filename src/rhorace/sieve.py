@@ -47,6 +47,8 @@ import operator
 import os
 from dataclasses import dataclass, field
 
+from .numeric import is_probable_prime
+
 DEFAULT_LIMIT = 10**6
 MEMORY_CAP = 10**8  # one flag byte per candidate
 BLOCK_SIZE = 2048  # primes per gcd block of the pre-pass
@@ -225,13 +227,16 @@ def trial_divide(n: int, table: PrimeTable) -> tuple[dict[int, int], int]:
         g = math.gcd(m, sum(map(operator.mul, chunks, ts)))
         if g == 1:
             continue
-        # Only a gcd at least the square needs the block's primes: reading
-        # table.primes builds a loaded table's list on first use.
-        scan = iter(table.primes[start : start + BLOCK_SIZE]) if g >= square else None
+        # g is the product of the block's primes that divide m, each once, so
+        # below the square of the block's first prime it is one of them.
+        # Block 0's square is 4, so there a prime g under the limit is one
+        # of them too; Miller-Rabin is exact that far down.
+        lone = g < square or g <= table.limit and is_probable_prime(g)
+        # Only a gcd of two or more primes needs the block's primes:
+        # reading table.primes builds a loaded table's list on first use.
+        scan = None if lone else iter(table.primes[start : start + BLOCK_SIZE])
         while g > 1:
-            # g is the product of the block's primes that divide m, each once,
-            # so below the square of the block's first prime it is one of them.
-            p = g if g < square else next(q for q in scan if g % q == 0)
+            p = g if lone or g < square else next(q for q in scan if g % q == 0)
             if p * p > m:
                 break
             k = 0

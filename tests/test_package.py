@@ -23,7 +23,6 @@ PUBLIC = [
     "RhoParams",
     "__version__",
     "brent_attempt",
-    "default_max_iters",
     "factorize",
     "gen_input",
     "is_probable_prime",
@@ -70,8 +69,9 @@ def test_import_builds_no_prime_table(src_env):
     # interpreter that only imports the package has an empty cache.  The
     # table is then loaded, not sieved, and its primes list is built only
     # when a pre-pass scans a block.  846473095399770657989 has no prime
-    # factor under the limit, and 999983 is alone in its block's gcd, so
-    # neither scans; 3 and 5 share block 0, so 3 * 5 * 1000003 does.
+    # factor under the limit, and 999983 and 7 are each alone in their
+    # block's gcd, so none of them scans, not even in block 0, whose square
+    # test is 2**2; 3 and 5 share block 0, so 3 * 5 * 1000003 does.
     code = (
         "import sys\n"
         "import rhorace\n"
@@ -89,6 +89,7 @@ def test_import_builds_no_prime_table(src_env):
         "table = pipeline.default_table()\n"
         "rhorace.factorize(846473095399770657989)\n"
         "rhorace.factorize(999983 * 1000003)\n"
+        "rhorace.factorize(7 * 1000003)\n"
         "print('primes' in vars(table), calls)\n"
         "result = rhorace.factorize(3 * 5 * 1000003)\n"
         "print('primes' in vars(table), calls, result.factors)\n"

@@ -34,7 +34,7 @@ from test_rho import _CancelAfter
 SEMIPRIME = 1000003 * 1000033  # both factors just beyond the pre-pass limit
 # 10 x 11 digits: Brent's walk with c=1 takes ~238k steps, far past the mark.
 LONG_SEMIPRIME = 5063259979 * 94887001943
-# 16 x 16 digits: the default budget is hours of Brent steps.
+# 16 x 16 digits: a Brent walk takes hours to find a factor.
 HARD_SEMIPRIME = 1000000000000037 * 3000000000000037
 
 
@@ -636,9 +636,10 @@ def test_race_resumes_each_worker_and_reports_its_end_state(monkeypatch):
 
 def test_race_ends_a_walk_whose_lifetime_budget_runs_out_mid_race(monkeypatch):
     monkeypatch.setattr(race, "SOLO_STEPS", 0)
-    tired = brent_attempt(LONG_SEMIPRIME, RhoParams.make(LONG_SEMIPRIME, 2, x0=5), _CancelAfter(20))
+    budget = 10**6
+    tired_params = RhoParams.make(LONG_SEMIPRIME, 2, x0=5, max_iters=budget)
+    tired = brent_attempt(LONG_SEMIPRIME, tired_params, _CancelAfter(20))
     assert tired.kind == CANCELLED
-    budget = tired.walk.params.max_iters
     tired_walk = replace(tired.walk, walked=budget - 512)
     winner_walk = rho.start("brent", RhoParams.make(LONG_SEMIPRIME, 1, x0=5))
     outcomes, winner = race._run_round(LONG_SEMIPRIME, [winner_walk, tired_walk])

@@ -1,11 +1,15 @@
 """Single-attempt tests: both rho variants and their recorded outcomes."""
 
+import math
 import random
 
 import pytest
 
 import golden_attempts
 import oracles
+from rhorace.bench import gen_input
+from rhorace.pipeline import factorize
+from rhorace.race import RaceConfig
 from rhorace.rho import (
     BUDGET_EXHAUSTED,
     CANCELLED,
@@ -15,9 +19,9 @@ from rhorace.rho import (
     RhoParams,
     Walk,
     brent_attempt,
-    default_max_iters,
     resume,
     rho_attempt,
+    start,
 )
 
 
@@ -123,11 +127,32 @@ def test_rho_cancel_checked_before_work():
     assert out.factor is None
 
 
-def test_default_max_iters_floor_and_growth():
-    assert default_max_iters(8051) == 100_000
-    # ceil((10^40)^(1/4)) = 10^10, times 8 and the default batch of 128
-    assert default_max_iters(10**40) == 8 * 10**10 * 128
-    assert default_max_iters(10**40, gcd_batch=1) == 8 * 10**10
+@pytest.mark.parametrize("detector", ["floyd", "brent"])
+def test_unbudgeted_walk_on_a_prime_ends_at_its_cycle(detector):
+    # With no budget the cycle is a walk's only end short of a factor or a
+    # cancel: on a prime p it comes within a few sqrt(p) steps.
+    p = 1000003
+    for c in range(1, 11):
+        out = resume(p, start(detector, RhoParams.make(p, c, x0=2)))
+        assert out.kind == NO_FACTOR_CYCLE, c
+        assert out.iterations < 8 * math.isqrt(p), c
+
+
+def _race_traces(result):
+    return [
+        (race.factor, race.rounds, race.winner, [(o.kind, o.iterations) for o in race.worker_outcomes])
+        for race in result.stats.races
+    ]
+
+
+def test_no_budget_races_as_an_unreachable_budget(table_1e6):
+    # No seeded composite's walk comes near a budget, so dropping the
+    # budget changes no race: the same factors, rounds, winners and steps.
+    for seed in range(4):
+        n = gen_input(30, 7, seed)
+        unbudgeted = factorize(n, RaceConfig(workers=1), table_1e6)
+        budgeted = factorize(n, RaceConfig(workers=1, max_iters=10**30), table_1e6)
+        assert _race_traces(unbudgeted) == _race_traces(budgeted) != []
 
 
 def test_params_validation():

@@ -18,7 +18,7 @@ import csv
 import os
 import random
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from .numeric import is_probable_prime
 from .pipeline import factorize, verify
@@ -161,7 +161,7 @@ def run_suite(suite: BenchSuite, config: RaceConfig | None = None) -> list[Bench
     records: list[BenchRecord] = []
     for digits in suite.digit_classes:
         for workers in suite.worker_counts:
-            cfg = replace(config, workers=workers)
+            cfg = RaceConfig(**{**vars(config), "workers": workers})
             for idx, n in enumerate(suite.inputs[digits]):
                 result = factorize(n, cfg)
                 if not verify(result):

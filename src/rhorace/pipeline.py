@@ -14,10 +14,10 @@ from __future__ import annotations
 import functools
 import time
 from collections import Counter
-from dataclasses import dataclass, field
+from types import SimpleNamespace
 
 from .numeric import is_probable_prime
-from .race import FactorSearchExhausted, RaceConfig, RaceOutcome, race_factor
+from .race import FactorSearchExhausted, RaceConfig, race_factor
 from .sieve import PrimeTable, load_table, trial_divide
 
 
@@ -28,31 +28,34 @@ def default_table() -> PrimeTable:
     return load_table()
 
 
-@dataclass
-class PipelineStats:
+class PipelineStats(SimpleNamespace):
     """Seconds per layer of one factorize call, and its races.
 
     This is the package's only clock: bench records and factor --json
     report total_s, which leaves out the one-time load of the table.  The
     default table's primes list is built on first use, so the first call
     in a process whose pre-pass scans a block pays that build (about 20 ms
-    for primes <= 1e6) in its trial_division_s.
+    for primes <= 1e6) in its trial_division_s.  races holds each race's
+    RaceOutcome, in the order run.  Stats compare and print by their
+    fields, like Factorization.
     """
 
-    trial_division_s: float = 0.0
-    primality_s: float = 0.0
-    race_s: float = 0.0
-    total_s: float = 0.0
-    races: list[RaceOutcome] = field(default_factory=list)
+    def __init__(self, trial_division_s=0.0, primality_s=0.0, race_s=0.0, total_s=0.0, races=None):
+        self.trial_division_s = trial_division_s
+        self.primality_s = primality_s
+        self.race_s = race_s
+        self.total_s = total_s
+        self.races = [] if races is None else races
 
 
-@dataclass
-class Factorization:
-    """input == product of p**k over factors, every p probably prime."""
+class Factorization(SimpleNamespace):
+    """input == product of p**k over factors, every p probably prime.
 
-    input: int
-    factors: dict[int, int]
-    stats: PipelineStats = field(default_factory=PipelineStats)
+    stats defaults to a fresh PipelineStats().
+    """
+
+    def __init__(self, input, factors, stats=None):
+        super().__init__(input=input, factors=factors, stats=PipelineStats() if stats is None else stats)
 
     def ordered(self) -> list[tuple[int, int]]:
         """(prime, multiplicity) pairs in ascending prime order."""

@@ -52,8 +52,8 @@ from __future__ import annotations
 import os
 import random
 import select
-import signal
-from dataclasses import dataclass
+from collections import namedtuple
+from types import SimpleNamespace
 
 from . import rho
 from .rho import RhoOutcome, RhoParams, Walk
@@ -78,23 +78,31 @@ class FactorSearchExhausted(Exception):
         self.rounds = rounds
 
 
-@dataclass
-class RaceConfig:
+class RaceConfig(SimpleNamespace):
     """Knobs for race_factor.  workers=0 means the detected core count.
 
     Every fresh walk takes the race's next unused constant c = 1, 2, 3, ...;
     seed seeds the generator that draws each fresh walk's start value.
     max_iters=None means no budget: a walk ends on a factor, its cycle or
     a cancel.  Bad values raise ValueError when the config is made.
+
+    The class attributes are the defaults.  A config compares and prints
+    by its five knobs, and RaceConfig(**{**vars(config), "workers": 2}) is
+    a copy with one knob changed.
     """
 
-    workers: int = 0
-    seed: int = 0
-    max_iters: int | None = None
-    gcd_batch: int = rho.DEFAULT_GCD_BATCH
-    detector: str = "brent"
+    workers = 0
+    seed = 0
+    max_iters = None
+    gcd_batch = rho.DEFAULT_GCD_BATCH
+    detector = "brent"
 
-    def __post_init__(self):
+    def __init__(
+        self, workers=workers, seed=seed, max_iters=max_iters, gcd_batch=gcd_batch, detector=detector
+    ):
+        super().__init__(
+            workers=workers, seed=seed, max_iters=max_iters, gcd_batch=gcd_batch, detector=detector
+        )
         if self.workers < 0:
             raise ValueError("workers must be >= 0")
         if self.max_iters is not None and self.max_iters < 1:
@@ -108,18 +116,14 @@ class RaceConfig:
         return self.workers if self.workers else (os.cpu_count() or 1)
 
 
-@dataclass
-class RaceOutcome:
+class RaceOutcome(namedtuple("RaceOutcome", "factor winner rounds worker_outcomes")):
     """The winning factor plus per-worker accounting for the final round.
 
-    It holds no time: factorize adds each race's time to
-    PipelineStats.race_s, and times the whole call in total_s.
+    An immutable record.  It holds no time: factorize adds each race's time
+    to PipelineStats.race_s, and times the whole call in total_s.
     """
 
-    factor: int
-    winner: int
-    rounds: int
-    worker_outcomes: list[RhoOutcome]
+    __slots__ = ()
 
     @property
     def per_worker_iterations(self) -> list[int]:
@@ -274,6 +278,8 @@ class _Round:
         SIGTERM stops a child at once, and an exited child stays a zombie
         until waitpid reaps it, so the kill cannot miss.
         """
+        import signal  # here, not at the top: it costs about 1 ms at import
+
         for fd in [*self.stops.values(), *self.pipes]:
             os.close(fd)
         for pid in self.procs.values():

@@ -38,8 +38,7 @@ they never report a wrong one.
 from __future__ import annotations
 
 import math
-from collections.abc import Callable
-from dataclasses import dataclass, field, replace
+from collections import namedtuple
 
 from .numeric import gcd
 
@@ -51,14 +50,13 @@ CANCELLED = "cancelled"
 DEFAULT_GCD_BATCH = 128
 
 
-@dataclass(frozen=True)
-class RhoParams:
-    """Knobs for one attempt.  c and x0 are residues mod the target n."""
+class RhoParams(namedtuple("RhoParams", "c x0 max_iters gcd_batch", defaults=(DEFAULT_GCD_BATCH,))):
+    """Knobs for one attempt.  c and x0 are residues mod the target n.
 
-    c: int
-    x0: int
-    max_iters: int | None
-    gcd_batch: int = DEFAULT_GCD_BATCH
+    An immutable record: _replace gives a copy with some fields changed.
+    """
+
+    __slots__ = ()
 
     @classmethod
     def make(
@@ -86,8 +84,7 @@ class RhoParams:
             raise ValueError("c must not be congruent to 0 or -2 mod n")
 
 
-@dataclass(frozen=True)
-class Walk:
+class Walk(namedtuple("Walk", "step params state walked")):
     """Where a walk stopped, ready to resume on its n or on a divisor of it.
 
     step is the detector's advance factory (_floyd or _brent).  params hold
@@ -96,13 +93,11 @@ class Walk:
     counts every step of the walk's life, replays included.  A budget
     params.max_iters, if set, covers that whole life and carries over
     unchanged to every cofactor the walk is reduced to: the driver starts
-    no batch once walked reaches it.  None means no budget.
+    no batch once walked reaches it.  None means no budget.  Like
+    RhoParams, an immutable record.
     """
 
-    step: Callable
-    params: RhoParams
-    state: tuple
-    walked: int
+    __slots__ = ()
 
     def over(self, m: int) -> Walk | None:
         """This walk reduced mod a divisor m of its n, or None if c
@@ -114,26 +109,33 @@ class Walk:
         c = self.params.c % m
         if c == 0 or c == m - 2:
             return None
-        params = replace(self.params, c=c, x0=self.params.x0 % m)
+        params = self.params._replace(c=c, x0=self.params.x0 % m)
         state = (self.state[0] % m, self.state[1] % m, *self.state[2:])
         return Walk(self.step, params, state, self.walked)
 
 
-@dataclass(frozen=True)
-class RhoOutcome:
-    """Result of one attempt.
+class RhoOutcome(namedtuple("RhoOutcome", "kind iterations factor walk", defaults=(None, None))):
+    """Result of one attempt, an immutable record.
 
     kind is one of FACTOR, NO_FACTOR_CYCLE, BUDGET_EXHAUSTED, CANCELLED.
     iterations counts advances of the primary sequence in this call,
     including any single-step replay of a collapsed batch.  walk is where
     the walk stopped (the lifetime count is walk.walked); it takes no part
-    in equality.
+    in equality, hashing or repr, which use kind, iterations and factor.
     """
 
-    kind: str
-    iterations: int
-    factor: int | None = None
-    walk: Walk | None = field(default=None, compare=False, repr=False)
+    __slots__ = ()
+
+    def __eq__(self, other):
+        return self[:3] == other[:3] if isinstance(other, RhoOutcome) else NotImplemented
+
+    __ne__ = object.__ne__  # tuple's own would compare the walks too
+
+    def __hash__(self):
+        return hash(self[:3])
+
+    def __repr__(self):
+        return f"RhoOutcome(kind={self.kind!r}, iterations={self.iterations!r}, factor={self.factor!r})"
 
     @property
     def found(self) -> bool:
@@ -213,6 +215,7 @@ def resume(n: int, walk: Walk, cancel=None) -> RhoOutcome:
     params = walk.params
     params.validate_for(n)
     advance = walk.step(n, params.c)
+    batch = params.gcd_batch
     budget = math.inf if params.max_iters is None else params.max_iters
     state = walk.state
     walked = iters = walk.walked
@@ -222,7 +225,7 @@ def resume(n: int, walk: Walk, cancel=None) -> RhoOutcome:
             kind = CANCELLED
             break
         begin = state
-        state, q, steps, met = advance(state, min(params.gcd_batch, budget - iters))
+        state, q, steps, met = advance(state, min(batch, budget - iters))
         iters += steps
         d = gcd(q, n)
         if d == n:
@@ -243,7 +246,7 @@ def resume(n: int, walk: Walk, cancel=None) -> RhoOutcome:
             # factor on the way: this c is a dud.
             kind = NO_FACTOR_CYCLE
             break
-    return RhoOutcome(kind, iters - walked, factor, replace(walk, state=state, walked=iters))
+    return RhoOutcome(kind, iters - walked, factor, walk._replace(state=state, walked=iters))
 
 
 def rho_attempt(n: int, params: RhoParams, cancel=None) -> RhoOutcome:

@@ -45,7 +45,6 @@ import itertools
 import math
 import operator
 import os
-from dataclasses import dataclass, field
 
 from .numeric import is_probable_prime
 
@@ -58,7 +57,6 @@ TABLE_PATH = os.path.join(os.path.dirname(__file__), "prepass_table.bin")
 WORD = 4  # bytes per integer of the table file's header and block entries
 
 
-@dataclass
 class PrimeTable:
     """Ascending primes <= limit.  Treat as immutable; safe to share.
 
@@ -74,16 +72,13 @@ class PrimeTable:
     the module docstring).  firsts holds each block's first prime.  width is
     the most chunks any block has, so the number of powers of two
     trial_divide reduces mod n.  blocks, firsts and width are derived from
-    primes, so they take no part in repr or equality.
+    primes, so they take no part in repr or equality: two tables are equal
+    when they are both PrimeTables with equal limit and primes.
     """
 
-    limit: int
-    primes: list[int]
-    blocks: list[tuple[int, list[int]]] = field(init=False, repr=False, compare=False)
-    firsts: list[int] = field(init=False, repr=False, compare=False)
-    width: int = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
+    def __init__(self, limit: int, primes: list[int]) -> None:
+        self.limit = limit
+        self.primes = primes
         block_products = []
         for start in range(0, len(self.primes), BLOCK_SIZE):
             # A balanced product tree, products of 64 primes multiplied in
@@ -113,6 +108,14 @@ class PrimeTable:
             raise AttributeError(name)
         self.primes = _primes_upto(self.limit)
         return self.primes
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return (self.limit, self.primes) == (other.limit, other.primes)
+
+    def __repr__(self) -> str:
+        return f"PrimeTable(limit={self.limit!r}, primes={self.primes!r})"
 
 
 def sieve(limit: int) -> PrimeTable:

@@ -1,4 +1,6 @@
+import faulthandler
 import os
+import sys
 import time
 from pathlib import Path
 
@@ -7,6 +9,32 @@ import pytest
 import rhorace
 from rhorace import pipeline
 from rhorace.sieve import load_table, sieve
+
+
+TEST_LIMIT_S = 120  # per test, setup and teardown included; the slowest takes under 10 s
+GUARD_STDERR = pytest.StashKey[int]()  # stderr as it was before output capture
+
+
+def pytest_configure(config):
+    config.stash[GUARD_STDERR] = os.dup(sys.stderr.fileno())
+
+
+def pytest_unconfigure(config):
+    os.close(config.stash[GUARD_STDERR])
+
+
+@pytest.hookimpl(wrapper=True)
+def pytest_runtest_protocol(item):
+    """Turn a test that hangs into a failed run: once a test has run
+    TEST_LIMIT_S, print every thread's traceback to the terminal and exit
+    with code 1.  faulthandler keeps the time on a thread of its own, so the
+    SIGALRM guards that some tests arm work as before, and a race child,
+    a bare fork, reads EOF on its stop pipe when this process exits."""
+    faulthandler.dump_traceback_later(TEST_LIMIT_S, exit=True, file=item.config.stash[GUARD_STDERR])
+    try:
+        return (yield)
+    finally:
+        faulthandler.cancel_dump_traceback_later()
 
 
 @pytest.fixture(scope="session")

@@ -6,16 +6,20 @@ import sys
 import pytest
 
 
+LEFT_OUT = {"rhorace.bench", "csv", "multiprocessing", "pickle", "socket", "dataclasses", "inspect", "signal"}
+
+
 @pytest.mark.parametrize("module", ["rhorace.pipeline", "rhorace.cli"])
 def test_factoring_imports_leave_the_bench_harness_out(module, src_env):
     # The benchmark harness and its csv writers load on first use of a
     # bench name, not with the package or the factor command; race children
-    # are bare forks, so no multiprocessing, pickle or socket either.
+    # are bare forks, so no multiprocessing, pickle or socket either.  The
+    # records are plain classes and namedtuples, so no dataclasses and the
+    # inspect it imports, and signal loads only when a race round closes.
     code = (
         "import sys\n"
         f"import {module}\n"
-        "left_out = {'rhorace.bench', 'csv', 'multiprocessing', 'pickle', 'socket'}\n"
-        "print(sorted(left_out & set(sys.modules)))\n"
+        f"print(sorted({LEFT_OUT!r} & set(sys.modules)))\n"
         "import rhorace\n"
         "print(rhorace.BenchSuite.__module__)\n"
         "from rhorace import bench\n"

@@ -7,7 +7,6 @@ import subprocess
 import sys
 import time
 from contextlib import contextmanager, suppress
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -130,6 +129,15 @@ def test_race_with_more_workers_than_constants_is_exhausted_at_once(monkeypatch,
 def test_race_config_rejects_bad_values(field, value):
     with pytest.raises(ValueError, match=field):
         RaceConfig(**{field: value})
+
+
+def test_race_config_reads_its_defaults_from_the_class_and_copies_by_its_fields():
+    config = RaceConfig(seed=7)
+    assert (RaceConfig.workers, RaceConfig.detector, RaceConfig.max_iters) == (0, "brent", None)
+    assert config == RaceConfig(0, 7, None, rho.DEFAULT_GCD_BATCH, "brent") != RaceConfig()
+    copy = RaceConfig(**{**vars(config), "workers": 2})
+    assert (copy.workers, copy.seed, config.workers) == (2, 7, 0)
+    assert repr(config) == "RaceConfig(workers=0, seed=7, max_iters=None, gcd_batch=128, detector='brent')"
 
 
 @pytest.mark.parametrize("detector", rho.DETECTORS)
@@ -516,8 +524,8 @@ def test_race_fails_fast_when_a_worker_raises(
         if params.c != raiser + 1:  # first-round constants are 1, 2, 3
             return resume(n, walk, cancel)
         if past_the_mark:
-            short = replace(params, max_iters=race.SOLO_STEPS + params.gcd_batch)
-            resume(n, replace(walk, params=short), cancel)
+            short = params._replace(max_iters=race.SOLO_STEPS + params.gcd_batch)
+            resume(n, walk._replace(params=short), cancel)
         raise ValueError("planted")
 
     counting = _CountingFork(monkeypatch)
@@ -605,7 +613,7 @@ def test_race_forks_at_worker_0s_first_batch_boundary_past_the_mark(monkeypatch,
     # phase r = 64 its batches are whole, so it forks at the mark itself.
     # (walked=0 hands it a whole budget again.)
     walk = outcomes[0].walk
-    outcomes, winner = race._run_round(HARD_SEMIPRIME, [replace(walk, walked=0), walks[1]])
+    outcomes, winner = race._run_round(HARD_SEMIPRIME, [walk._replace(walked=0), walks[1]])
     assert seen == [fork_at, race.SOLO_STEPS]
     assert outcomes[0].iterations == 254 + 56 * 128
     _assert_no_child()
@@ -640,7 +648,7 @@ def test_race_ends_a_walk_whose_lifetime_budget_runs_out_mid_race(monkeypatch):
     tired_params = RhoParams.make(LONG_SEMIPRIME, 2, x0=5, max_iters=budget)
     tired = brent_attempt(LONG_SEMIPRIME, tired_params, _CancelAfter(20))
     assert tired.kind == CANCELLED
-    tired_walk = replace(tired.walk, walked=budget - 512)
+    tired_walk = tired.walk._replace(walked=budget - 512)
     winner_walk = rho.start("brent", RhoParams.make(LONG_SEMIPRIME, 1, x0=5))
     outcomes, winner = race._run_round(LONG_SEMIPRIME, [winner_walk, tired_walk])
     assert winner == 0

@@ -17,8 +17,8 @@ from contextlib import suppress
 
 from rhorace import race, rho
 from rhorace.bench import _random_prime_digits
-from rhorace.race import RaceConfig, race_factor
-from rhorace.rho import CANCELLED, FACTOR, RhoOutcome
+from rhorace.race import FactorSearchExhausted, RaceConfig, race_factor
+from rhorace.rho import CANCELLED, FACTOR, NO_FACTOR_CYCLE, RhoOutcome
 from test_race import HARD_SEMIPRIME, _assert_no_child, _CountingFork, _deadline, _gone
 
 SOAK_SEED = 20261019
@@ -27,6 +27,7 @@ RACE_BOUND_S = 2.0  # from race_factor's call to its return or raise
 CHILD_GONE_BOUND_S = 1.0  # from a killed caller's reaping to its children's exit
 LOST = r"race worker [12] exited with code -9 without reporting"
 FAILED = r"race worker\(s\) failed: \[\([12], \"ValueError\('planted'\)\"\)\]"
+EXHAUSTED = rf"no factor of \d+ found after {race.MAX_ROUNDS} round\(s\)"
 
 
 class _KillAfterFork(_CountingFork):
@@ -129,11 +130,34 @@ def _stop_while_booting(monkeypatch, rng, workers, p):
     return None, None, None
 
 
+def _every_walk_cycles(monkeypatch, rng, workers, p):
+    """Every walk of every round, in the caller and in each child, meets
+    its cycle after a drawn 0-19 batches, with no factor: each round ends
+    with no winner, and the race is exhausted after MAX_ROUNDS rounds."""
+    batches = rng.randrange(0, 20)
+    resume = rho.resume
+
+    def cycles(n, walk, cancel=None):
+        polls = 0
+
+        def counting(steps):
+            nonlocal polls
+            polls += 1
+            return polls > batches or cancel(steps)
+
+        out = resume(n, walk, counting)
+        return RhoOutcome(NO_FACTOR_CYCLE, out.iterations, None, out.walk)
+
+    monkeypatch.setattr(rho, "resume", cycles)
+    return FactorSearchExhausted, EXHAUSTED, None
+
+
 FAULTS = {
     "kill-child": _kill_child,
     "child-raises": _child_raises,
     "worker-0-interrupted": _worker_0_interrupted,
     "stop-while-booting": _stop_while_booting,
+    "every-walk-cycles": _every_walk_cycles,
 }
 
 
@@ -160,6 +184,7 @@ def test_race_soak_with_one_fault_per_race(monkeypatch, capsys):
                         raise
                     tally[kind][type(exc).__name__] += 1
                 else:
+                    assert kind != "every-walk-cycles", f"a race with no factor returned {outcome}"
                     assert 1 < outcome.factor < n and n % outcome.factor == 0, kind
                     if kind == "stop-while-booting":
                         assert outcome.winner == 0

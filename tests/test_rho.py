@@ -170,6 +170,21 @@ def test_params_validation():
         RhoParams.make(8051, c=1, x0=2, max_iters=0)
 
 
+def test_records_are_immutable_and_outcomes_compare_without_their_walk():
+    params = RhoParams.make(8051, c=1, x0=2)
+    walk = start("brent", params)
+    out = resume(8051, walk)
+    for record, name in ((params, "c"), (walk, "walked"), (out, "kind"), (out, "walk")):
+        with pytest.raises(AttributeError):
+            setattr(record, name, None)
+    assert params._replace(c=3) == RhoParams(3, 2, None)
+    assert walk._replace(walked=5).walked == 5 and walk.walked == 0
+    bare = RhoOutcome(out.kind, out.iterations, out.factor)
+    assert out == bare and not out != bare and hash(out) == hash(bare)
+    assert out != RhoOutcome(out.kind, out.iterations + 1, out.factor, out.walk)
+    assert repr(out) == repr(bare) == f"RhoOutcome(kind='factor', iterations={out.iterations}, factor={out.factor})"
+
+
 def test_attempts_reject_bad_n():
     params = RhoParams(c=1, x0=2, max_iters=100, gcd_batch=1)
     for bad in (1, 2, 9**0, 100):

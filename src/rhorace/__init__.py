@@ -1,13 +1,12 @@
 """Parallel integer factorization: Pollard's rho raced across cores.
 
 The public surface names what users call, stage by stage: the primality
-test, the sieve pre-pass, single rho attempts, the multi-worker race, the
-recursive factorization driver with its verifier, and the benchmark
-harness.  Helpers below that (the decimal wire format, the CSV writers and
-their record types, the plot script) stay importable from their modules.
-The benchmark names load rhorace.bench on first use, so that importing the
-package or the factoring pipeline does not import the harness and its csv
-writers.
+test, the sieve pre-pass, single rho attempts, the multi-worker race, and
+the recursive factorization driver with its verifier.  Helpers below that,
+such as the decimal wire format, stay importable from their modules.  The
+benchmark harness (BenchSuite, gen_input, run_suite, summarize, the CSV
+writer and the plot script) is imported from rhorace.bench, so importing
+the package or the factoring pipeline does not load it.
 """
 
 from .numeric import is_probable_prime
@@ -55,20 +54,6 @@ __all__ = [
     "PipelineStats",
     "factorize",
     "verify",
-    "BenchSuite",
-    "gen_input",
-    "run_suite",
-    "summarize",
     "__version__",
 ]
 
-
-_BENCH_NAMES = frozenset({"BenchSuite", "gen_input", "run_suite", "summarize"})
-
-
-def __getattr__(name: str):
-    if name in _BENCH_NAMES:
-        from . import bench
-
-        return getattr(bench, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

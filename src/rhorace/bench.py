@@ -18,7 +18,7 @@ import csv
 import os
 import random
 import warnings
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 from .numeric import is_probable_prime
 from .pipeline import factorize, verify
@@ -97,60 +97,56 @@ def _small_digits_for(digits: int) -> int:
     return min(8, max(7, digits // 5), digits // 2)
 
 
-@dataclass
-class BenchSuite:
-    """What to run: digit classes x inputs per class x worker counts."""
+class BenchSuite(
+    namedtuple(
+        "BenchSuite",
+        "digit_classes numbers_per_class worker_counts seed small_factor_digits",
+        defaults=(5, tuple(DEFAULT_WORKER_COUNTS), 0, None),
+    )
+):
+    """What to run: digit classes x inputs per class x worker counts.
 
-    digit_classes: list[int]
-    numbers_per_class: int = 5
-    worker_counts: list[int] = field(default_factory=lambda: list(DEFAULT_WORKER_COUNTS))
-    seed: int = 0
-    small_factor_digits: int | None = None
-    inputs: dict[int, list[int]] = field(default_factory=dict)
+    small_factor_digits=None sizes each class's planted prime by
+    _small_digits_for; any other value, 0 included, goes to gen_input as is.
+    """
 
-    def ensure_inputs(self) -> "BenchSuite":
+    __slots__ = ()
+
+    def inputs(self) -> dict[int, list[int]]:
+        """The seeded inputs of each digit class, built afresh on each call;
+        ValueError if gen_input cannot build one."""
+        out = {}
         for digits in self.digit_classes:
-            if digits not in self.inputs:
-                small = self.small_factor_digits
-                if small is None:
-                    small = _small_digits_for(digits)
-                self.inputs[digits] = [
-                    gen_input(digits, small, _derive_seed(self.seed, digits, i))
-                    for i in range(self.numbers_per_class)
-                ]
-        return self
+            small = self.small_factor_digits
+            if small is None:
+                small = _small_digits_for(digits)
+            out[digits] = [
+                gen_input(digits, small, _derive_seed(self.seed, digits, i))
+                for i in range(self.numbers_per_class)
+            ]
+        return out
 
 
-@dataclass
-class BenchRecord:
-    digit_class: int
-    workers: int
-    input_index: int
-    wall_time_s: float
-    factor_count: int  # prime factors counted with multiplicity
-    verified: bool
-
-
-@dataclass
-class SummaryRow:
-    digit_class: int
-    workers: int
-    mean_time_s: float
-    speedup_vs_1: float
+# Each record's _fields are its CSV header.  factor_count counts prime
+# factors with multiplicity.
+BenchRecord = namedtuple("BenchRecord", "digit_class workers input_index wall_time_s factor_count")
+SummaryRow = namedtuple("SummaryRow", "digit_class workers mean_time_s speedup_vs_1")
 
 
 def run_suite(suite: BenchSuite, config: RaceConfig | None = None) -> list[BenchRecord]:
     """Time every cell of the suite; every record is verified or we raise.
 
-    A record's wall_time_s is its factorization's stats.total_s: the
-    factorize call without the first call's build of the pre-pass table,
-    so the first cell is timed like the rest.  Requesting more workers
-    than the machine has cores is allowed but warned about: the ratios then
-    measure scheduler noise, not parallel speedup.
+    Every input is built before the first timing, so a ValueError from
+    gen_input comes before any work.  A record's wall_time_s is its
+    factorization's stats.total_s: the factorize call without the first
+    call's build of the pre-pass table, so the first cell is timed like the
+    rest.  Requesting more workers than the machine has cores is allowed
+    but warned about: the ratios then measure scheduler noise, not parallel
+    speedup.
     """
     if config is None:
         config = RaceConfig()
-    suite.ensure_inputs()
+    inputs = suite.inputs()
     cores = os.cpu_count() or 1
     if suite.worker_counts and max(suite.worker_counts) > cores:
         warnings.warn(
@@ -162,7 +158,7 @@ def run_suite(suite: BenchSuite, config: RaceConfig | None = None) -> list[Bench
     for digits in suite.digit_classes:
         for workers in suite.worker_counts:
             cfg = RaceConfig(**{**vars(config), "workers": workers})
-            for idx, n in enumerate(suite.inputs[digits]):
+            for idx, n in enumerate(inputs[digits]):
                 result = factorize(n, cfg)
                 if not verify(result):
                     raise BenchVerificationError(
@@ -176,7 +172,6 @@ def run_suite(suite: BenchSuite, config: RaceConfig | None = None) -> list[Bench
                         input_index=idx,
                         wall_time_s=result.stats.total_s,
                         factor_count=sum(result.factors.values()),
-                        verified=True,
                     )
                 )
     return records
@@ -209,31 +204,13 @@ def summarize(records: list[BenchRecord]) -> list[SummaryRow]:
     return rows
 
 
-def write_records_csv(records: list[BenchRecord], path: str) -> None:
+def write_csv(rows, fields, path: str) -> None:
+    """Write a header of fields, then one line per row.  The csv module
+    writes a float as its repr, so every time reads back exactly."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(
-            ["digit_class", "workers", "input_index", "wall_time_s", "factor_count", "verified"]
-        )
-        for r in records:
-            writer.writerow(
-                [
-                    r.digit_class,
-                    r.workers,
-                    r.input_index,
-                    repr(r.wall_time_s),
-                    r.factor_count,
-                    "true" if r.verified else "false",
-                ]
-            )
-
-
-def write_summary_csv(rows: list[SummaryRow], path: str) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["digit_class", "workers", "mean_time_s", "speedup_vs_1"])
-        for r in rows:
-            writer.writerow([r.digit_class, r.workers, repr(r.mean_time_s), repr(r.speedup_vs_1)])
+        writer.writerow(fields)
+        writer.writerows(rows)
 
 
 _PLOT_TEMPLATE = '''#!/usr/bin/env python3

@@ -1,9 +1,9 @@
 """Command line front end: factor numbers, generate inputs, run benchmarks.
 
 Exit codes: 0 success, 1 runtime failure (incomplete factorization, a
-race worker that raised or was lost, bench verification or I/O trouble,
-selftest failures), 2 usage errors, 130 a factor run stopped by Ctrl-C
-(SIGINT).
+race worker that raised, was lost or could not be forked, bench
+verification or I/O trouble, selftest failures), 2 usage errors, 130 a
+factor run stopped by Ctrl-C (SIGINT).
 """
 
 from __future__ import annotations
@@ -103,13 +103,16 @@ def cmd_factor(args) -> int:
         for p, k in exc.partial.ordered():
             print(f"{p}^{k}")
         print(
-            f"error: gave up on cofactor {exc.stubborn} "
-            f"(partial factorization above)",
+            f"error: gave up on cofactor {exc.stubborn}; "
+            f"n = (the primes printed) * {' * '.join(map(str, exc.pending))}",
             file=sys.stderr,
         )
         return 1
     except RuntimeError as exc:  # a race worker raised or was lost; the race reaped its children
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except OSError as exc:  # os.fork or os.pipe failed; the race closed its pipes and reaped its children
+        print(f"error: could not start the race workers: {exc}", file=sys.stderr)
         return 1
     except KeyboardInterrupt:  # the race has stopped and reaped its children
         print("error: interrupted", file=sys.stderr)
@@ -161,17 +164,19 @@ def cmd_bench(args) -> int:
     try:
         if args.per_class < 1:
             raise ValueError("--per-class must be >= 1")
-        suite.ensure_inputs()  # rejects digit sizes gen_input cannot build
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    try:
+        if 1 not in workers:
+            raise ValueError("--workers must include 1, the baseline of every speedup")
+        # run_suite builds every input, and so rejects a digit size gen_input
+        # cannot build, before its first timing.
         records = bench_mod.run_suite(suite, RaceConfig(seed=args.seed))
         rows = bench_mod.summarize(records)
         os.makedirs(args.out, exist_ok=True)
-        bench_mod.write_records_csv(records, os.path.join(args.out, "records.csv"))
-        bench_mod.write_summary_csv(rows, os.path.join(args.out, "summary.csv"))
+        bench_mod.write_csv(records, bench_mod.BenchRecord._fields, os.path.join(args.out, "records.csv"))
+        bench_mod.write_csv(rows, bench_mod.SummaryRow._fields, os.path.join(args.out, "summary.csv"))
         bench_mod.write_plot_script(os.path.join(args.out, "plot_speedup.py"))
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     except (bench_mod.BenchVerificationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -72,8 +72,9 @@ class FactorizationIncomplete(Exception):
     """The race retries ran out on some cofactor.
 
     partial holds every prime confirmed before the failure; stubborn is the
-    cofactor that resisted; pending lists all unresolved composites
+    cofactor that resisted; pending lists every cofactor not yet resolved
     (stubborn first), so partial.product() * product(pending) == the input.
+    The entries after stubborn were never tested, so some may be prime.
     """
 
     def __init__(self, partial: Factorization, stubborn: int, pending: list[int]):

@@ -31,5 +31,5 @@ def reference_records() -> list[BenchRecord]:
     for digits, by_workers in REFERENCE_TIMES.items():
         for workers, times in by_workers.items():
             for idx, t in enumerate(times):
-                records.append(BenchRecord(digits, workers, idx, t, 2, True))
+                records.append(BenchRecord(digits, workers, idx, t, 2))
     return records

@@ -18,9 +18,8 @@ from rhorace.bench import (
     gen_input,
     run_suite,
     summarize,
+    write_csv,
     write_plot_script,
-    write_records_csv,
-    write_summary_csv,
     _gen_parts,
 )
 from rhorace.numeric import is_probable_prime
@@ -78,24 +77,25 @@ def test_gen_input_rejects_bad_parameters():
         gen_input(20, 11)  # more than digits // 2
 
 
-def test_suite_inputs_cached_and_seeded():
+def test_suite_inputs_seeded():
     suite = BenchSuite([12], 3, [1], seed=8, small_factor_digits=5)
-    suite.ensure_inputs()
-    first = list(suite.inputs[12])
-    suite.ensure_inputs()
-    assert suite.inputs[12] == first
+    first = suite.inputs()[12]
+    assert suite.inputs()[12] == first
     assert len(set(first)) == 3  # derived seeds differ per index
-    twin = BenchSuite([12], 3, [1], seed=8, small_factor_digits=5).ensure_inputs()
-    assert twin.inputs == suite.inputs
+    twin = BenchSuite([12], 3, [1], seed=8, small_factor_digits=5)
+    assert twin.inputs() == suite.inputs()
+    # None picks the planted size per class; 0 goes to gen_input, which refuses it.
+    with pytest.raises(ValueError):
+        BenchSuite([12], 1, small_factor_digits=0).inputs()
 
 
 def test_desk_classes_plant_primes_above_the_prepass():
     # A planted prime under the pre-pass limit is stripped by trial division,
     # and the class then never races.
-    suite = BenchSuite(bench.DESK_CLASSES, 5, seed=0).ensure_inputs()
+    inputs = BenchSuite(bench.DESK_CLASSES, 5, seed=0).inputs()
     for digits in bench.DESK_CLASSES:
         small = bench._small_digits_for(digits)
-        for i, n in enumerate(suite.inputs[digits]):
+        for i, n in enumerate(inputs[digits]):
             parts = _gen_parts(digits, small, bench._derive_seed(0, digits, i))
             assert math.prod(parts) == n
             assert min(parts) > DEFAULT_LIMIT, (digits, i, parts)
@@ -106,7 +106,6 @@ def test_run_suite_produces_verified_records(table_1e6):
     records = run_suite(suite, RaceConfig(seed=4))
     assert len(records) == 4
     for rec in records:
-        assert rec.verified
         assert rec.wall_time_s > 0
         assert rec.factor_count >= 2
     keys = {(r.digit_class, r.workers, r.input_index) for r in records}
@@ -118,6 +117,29 @@ def test_run_suite_leaves_the_table_build_out_of_the_first_record(slow_table_bui
     # only the factorization's own stats.total_s.
     records = run_suite(BenchSuite([12], 1, [1], seed=4, small_factor_digits=5))
     assert records[0].wall_time_s < slow_table_build
+
+
+def test_run_suite_builds_every_input_once_before_the_first_timing(monkeypatch):
+    built = []
+    timed = []
+
+    def counted_gen_input(*args):
+        built.append(args)
+        return gen_input(*args)
+
+    def counted_factorize(n, config):
+        timed.append(len(built))
+        return factorize(n, config)
+
+    monkeypatch.setattr(bench, "gen_input", counted_gen_input)
+    monkeypatch.setattr(bench, "factorize", counted_factorize)
+    run_suite(BenchSuite([12, 14], 2, [1, 2], seed=4, small_factor_digits=5))
+    assert len(built) == 4
+    assert timed == [4] * 8
+    # A class gen_input cannot build fails the suite before any timing.
+    with pytest.raises(ValueError):
+        run_suite(BenchSuite([12, 3], 1, [1], seed=4, small_factor_digits=2))
+    assert len(timed) == 8
 
 
 def test_run_suite_empty_worker_list():
@@ -164,7 +186,7 @@ def test_run_suite_verification_failure_raises(monkeypatch, table_1e6):
 
 
 def test_summarize_single_record():
-    rows = summarize([BenchRecord(20, 1, 0, 10.0, 2, True)])
+    rows = summarize([BenchRecord(20, 1, 0, 10.0, 2)])
     assert rows == [SummaryRow(20, 1, 10.0, 1.0)]
 
 
@@ -180,11 +202,11 @@ def test_summarize_reference_tables():
 def test_summarize_rejects_empty_and_duplicates():
     with pytest.raises(ValueError):
         summarize([])
-    rec = BenchRecord(20, 1, 0, 10.0, 2, True)
+    rec = BenchRecord(20, 1, 0, 10.0, 2)
     with pytest.raises(ValueError, match="duplicate"):
         summarize([rec, rec])
     with pytest.raises(ValueError, match="baseline"):
-        summarize([BenchRecord(20, 2, 0, 10.0, 2, True)])
+        summarize([BenchRecord(20, 2, 0, 10.0, 2)])
 
 
 def test_csv_round_trip(tmp_path):
@@ -192,13 +214,13 @@ def test_csv_round_trip(tmp_path):
     rows = summarize(records)
     rec_path = tmp_path / "records.csv"
     sum_path = tmp_path / "summary.csv"
-    write_records_csv(records, str(rec_path))
-    write_summary_csv(rows, str(sum_path))
+    write_csv(records, BenchRecord._fields, str(rec_path))
+    write_csv(rows, SummaryRow._fields, str(sum_path))
 
     rec_lines = rec_path.read_text().strip().splitlines()
-    assert rec_lines[0] == "digit_class,workers,input_index,wall_time_s,factor_count,verified"
+    assert rec_lines[0] == "digit_class,workers,input_index,wall_time_s,factor_count"
     assert len(rec_lines) == 1 + len(records)
-    assert rec_lines[1] == "50,1,0,18.221,2,true"
+    assert rec_lines[1] == "50,1,0,18.221,2"
 
     sum_lines = sum_path.read_text().strip().splitlines()
     assert sum_lines[0] == "digit_class,workers,mean_time_s,speedup_vs_1"
@@ -219,7 +241,7 @@ def test_plot_script_runs_standalone(tmp_path, capsys):
     elsewhere the script must stop with a clear message, not a traceback.
     """
     rows = summarize(reference_records())
-    write_summary_csv(rows, str(tmp_path / "summary.csv"))
+    write_csv(rows, SummaryRow._fields, str(tmp_path / "summary.csv"))
     script = tmp_path / "plot_speedup.py"
     write_plot_script(str(script))
     text = script.read_text()

@@ -1,7 +1,9 @@
 """Command-line interface tests, run in-process via cli.main."""
 
 import csv
+import errno
 import json
+import math
 import os
 import signal
 import subprocess
@@ -90,6 +92,43 @@ def test_factor_incomplete_exits_one(capsys):
     assert "gave up" in err
 
 
+def test_factor_incomplete_names_every_pending_cofactor(capsys):
+    # The budget gives up on the first race's larger part, a product of three
+    # primes, while the other part, the prime 1000039, is still untested.
+    n = 1000003 * 1000033 * 1000037 * 1000039
+    code = run_cli("factor", str(n), "--workers", "1", "--max-iters", "400", "--gcd-batch", "8")
+    captured = capsys.readouterr()
+    assert code == 1
+    (line,) = captured.err.splitlines()
+    assert line.startswith("error: gave up on cofactor ")
+    head, named = line.split("n = (the primes printed) * ")
+    cofactors = [int(c) for c in named.split(" * ")]
+    assert 1000039 in cofactors
+    printed = 1
+    for entry in captured.out.split():
+        p, k = entry.split("^")
+        printed *= int(p) ** int(k)
+    assert printed * math.prod(cofactors) == n
+
+
+def test_factor_fork_failure_exits_one(monkeypatch, capsys):
+    # Worker 0 walks past SOLO_STEPS on this semiprime, so the race forks,
+    # and the patched fork fails as a full process table would.
+    def no_fork():
+        raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    with _deadline(10):
+        code = run_cli("factor", str(5063259979 * 94887001943), "--workers", "2")
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: could not start the race workers: ")
+    assert "Resource temporarily unavailable" in lines[0]
+    _assert_no_child()
+
+
 def test_factor_failed_worker_exits_one(monkeypatch, capsys):
     # The forked child raises at its first batch; worker 0 cannot split
     # HARD_SEMIPRIME first, so the child's error ends the race.
@@ -165,7 +204,7 @@ def test_bench_writes_outputs(tmp_path, capsys):
     assert code == 0
     lines = capsys.readouterr().out.splitlines()
     records = (out_dir / "records.csv").read_text().strip().splitlines()
-    assert records[0] == "digit_class,workers,input_index,wall_time_s,factor_count,verified"
+    assert records[0] == "digit_class,workers,input_index,wall_time_s,factor_count"
     assert len(records) == 1 + 2 * 2
     summary = (out_dir / "summary.csv").read_text().strip().splitlines()
     assert summary[0] == "digit_class,workers,mean_time_s,speedup_vs_1"
@@ -204,11 +243,13 @@ def test_bench_unwritable_out_exits_one(tmp_path, capsys):
         ["--classes", "3"],
         ["--classes", "20", "--small-digits", "15"],
         ["--classes", "12", "--per-class", "1", "--small-digits", "0"],
+        ["--classes", "12", "--per-class", "1", "--small-digits", "5", "--workers", "2"],
     ],
 )
 def test_bench_rejects_unbuildable_suites(args, tmp_path, capsys):
+    # A suite with no 1-worker baseline has no speedups, so it is unbuildable too.
     out_dir = tmp_path / "bench"
-    assert run_cli("bench", *args, "--workers", "1", "--out", str(out_dir)) == 2
+    assert run_cli("bench", "--workers", "1", *args, "--out", str(out_dir)) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ")

@@ -28,8 +28,11 @@ DESK_CLASSES = [20, 30, 40]
 DEFAULT_WORKER_COUNTS = [1, 2, 4]
 
 
-class BenchVerificationError(Exception):
-    """A timed factorization failed verification; the suite is untrustworthy."""
+class BenchVerificationError(RuntimeError):
+    """A timed factorization failed verification; the suite is untrustworthy.
+
+    A RuntimeError, as a failed race or an incomplete factorization is.
+    """
 
 
 def _derive_seed(seed: int, *parts: int) -> int:

@@ -1,9 +1,14 @@
 """Command line front end: factor numbers, generate inputs, run benchmarks.
 
-Exit codes: 0 success, 1 runtime failure (incomplete factorization, a
-race worker that raised, was lost or could not be forked, bench
-verification or I/O trouble, selftest failures), 2 usage errors, 130 a
-factor run stopped by Ctrl-C (SIGINT).
+One exit policy holds for every subcommand, and main applies it: a
+command raises, and main prints one "error: ..." line on stderr.  Exit
+codes: 0 success; 2 bad input, a ValueError found before any work (or a
+usage error from argparse); 1 a runtime failure, a RuntimeError or
+OSError (an incomplete factorization, a race worker that raised, was lost
+or could not start, a failed bench verification, I/O trouble), and
+selftest failures; 130 a run stopped by Ctrl-C (SIGINT), after the line
+"error: interrupted".  Only factor handles an error itself: an incomplete
+factorization prints the primes found, then names the pending cofactors.
 """
 
 from __future__ import annotations
@@ -29,6 +34,8 @@ def _int_list(text: str) -> list[int]:
         raise argparse.ArgumentTypeError(f"not a comma-separated int list: {text!r}")
     if not values or any(v < 1 for v in values):
         raise argparse.ArgumentTypeError("expected positive integers")
+    if len(set(values)) < len(values):
+        raise argparse.ArgumentTypeError(f"repeated value in {text!r}")
     return values
 
 
@@ -83,20 +90,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_factor(args) -> int:
-    try:
-        n = parse_natural(args.n)
-        if n == 0:
-            raise ValueError("0 has no prime factorization")
-        config = RaceConfig(
-            workers=args.workers,
-            seed=args.seed,
-            detector=args.detector,
-            max_iters=args.max_iters,
-            gcd_batch=args.gcd_batch,
-        )
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    n = parse_natural(args.n)
+    config = RaceConfig(
+        workers=args.workers,
+        seed=args.seed,
+        detector=args.detector,
+        max_iters=args.max_iters,
+        gcd_batch=args.gcd_batch,
+    )
     try:
         result = factorize(n, config)
     except FactorizationIncomplete as exc:
@@ -108,15 +109,6 @@ def cmd_factor(args) -> int:
             file=sys.stderr,
         )
         return 1
-    except RuntimeError as exc:  # a race worker raised or was lost; the race reaped its children
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:  # os.fork or os.pipe failed; the race closed its pipes and reaped its children
-        print(f"error: could not start the race workers: {exc}", file=sys.stderr)
-        return 1
-    except KeyboardInterrupt:  # the race has stopped and reaped its children
-        print("error: interrupted", file=sys.stderr)
-        return 130
     if args.json:
         payload = {
             "input": render_natural(n),
@@ -134,15 +126,11 @@ def cmd_factor(args) -> int:
 def cmd_gen(args) -> int:
     from .bench import _derive_seed, gen_input
 
-    try:
-        if args.count < 1:
-            raise ValueError("--count must be >= 1")
-        for i in range(args.count):
-            seed = args.seed if args.count == 1 else _derive_seed(args.seed, args.digits, i)
-            print(gen_input(args.digits, args.small, seed))
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    if args.count < 1:
+        raise ValueError("--count must be >= 1")
+    for i in range(args.count):
+        seed = args.seed if args.count == 1 else _derive_seed(args.seed, args.digits, i)
+        print(gen_input(args.digits, args.small, seed))
     return 0
 
 
@@ -161,25 +149,18 @@ def cmd_bench(args) -> int:
         seed=args.seed,
         small_factor_digits=small,
     )
-    try:
-        if args.per_class < 1:
-            raise ValueError("--per-class must be >= 1")
-        if 1 not in workers:
-            raise ValueError("--workers must include 1, the baseline of every speedup")
-        # run_suite builds every input, and so rejects a digit size gen_input
-        # cannot build, before its first timing.
-        records = bench_mod.run_suite(suite, RaceConfig(seed=args.seed))
-        rows = bench_mod.summarize(records)
-        os.makedirs(args.out, exist_ok=True)
-        bench_mod.write_csv(records, bench_mod.BenchRecord._fields, os.path.join(args.out, "records.csv"))
-        bench_mod.write_csv(rows, bench_mod.SummaryRow._fields, os.path.join(args.out, "summary.csv"))
-        bench_mod.write_plot_script(os.path.join(args.out, "plot_speedup.py"))
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (bench_mod.BenchVerificationError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    if args.per_class < 1:
+        raise ValueError("--per-class must be >= 1")
+    if 1 not in workers:
+        raise ValueError("--workers must include 1, the baseline of every speedup")
+    # run_suite builds every input, and so rejects a digit size gen_input
+    # cannot build, before its first timing.
+    records = bench_mod.run_suite(suite, RaceConfig(seed=args.seed))
+    rows = bench_mod.summarize(records)
+    os.makedirs(args.out, exist_ok=True)
+    bench_mod.write_csv(records, bench_mod.BenchRecord._fields, os.path.join(args.out, "records.csv"))
+    bench_mod.write_csv(rows, bench_mod.SummaryRow._fields, os.path.join(args.out, "summary.csv"))
+    bench_mod.write_plot_script(os.path.join(args.out, "plot_speedup.py"))
     print(f"{'digits':>8} {'workers':>8} {'mean_ms':>12} {'speedup':>8}")
     for row in rows:
         print(
@@ -257,8 +238,7 @@ def _selftest_checks(limit: int):
 
 def cmd_selftest(args) -> int:
     if args.limit < 1:
-        print("error: --limit must be >= 1", file=sys.stderr)
-        return 2
+        raise ValueError("--limit must be >= 1")
     failures = 0
     for name, check in _selftest_checks(args.limit):
         try:
@@ -275,9 +255,18 @@ def cmd_selftest(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    return args.func(args)
+    args = build_parser().parse_args(argv)
+    try:
+        return args.func(args)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except (RuntimeError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except KeyboardInterrupt:  # every race has stopped and reaped its children
+        print("error: interrupted", file=sys.stderr)
+        return 130
 
 
 if __name__ == "__main__":

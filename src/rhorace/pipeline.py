@@ -68,13 +68,15 @@ class Factorization(SimpleNamespace):
         return out
 
 
-class FactorizationIncomplete(Exception):
+class FactorizationIncomplete(RuntimeError):
     """The race retries ran out on some cofactor.
 
     partial holds every prime confirmed before the failure; stubborn is the
     cofactor that resisted; pending lists every cofactor not yet resolved
     (stubborn first), so partial.product() * product(pending) == the input.
     The entries after stubborn were never tested, so some may be prime.
+    It is a RuntimeError, as a failed race is, so a caller that reports
+    runtime failures needs no handler of its own for it.
     """
 
     def __init__(self, partial: Factorization, stubborn: int, pending: list[int]):

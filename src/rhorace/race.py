@@ -25,7 +25,9 @@ the children that have not reported, so it stops for a child's factor or
 error, or for a child whose pipe reads EOF before a whole report, whose
 exit code os.waitpid then gives.  The first factor found stops every
 child that has not reported, and on every way out of a round the caller
-kills and reaps each child with SIGTERM and waitpid.
+kills and reaps each child with SIGTERM and waitpid.  A child that
+raises, is lost or cannot start (os.pipe or os.fork fails) fails the
+round with RuntimeError, raised once every pipe end is closed.
 
 Every worker's start is a rho.Walk.  race_factor can be handed one walk
 per worker to resume (RaceOutcome.walks_over gives them for a cofactor of
@@ -230,21 +232,31 @@ class _Round:
         return self.winner is not None
 
     def fork(self):
-        """Start workers 1..k-1; a no-op once they are started."""
+        """Start workers 1..k-1; a no-op once they are started.
+
+        If os.pipe or os.fork fails, raises RuntimeError naming the OS
+        error, after closing the child's ends of the pipes made for it;
+        close() closes the caller's ends and reaps the children started.
+        """
         if self.forked:
             return
         self.forked = True
         for i, walk in enumerate(self.walks[1:], start=1):
-            stop, self.stops[i] = os.pipe()
-            report_end, report = os.pipe()
-            self.pipes[report_end] = i
-            ends = [*self.stops.values(), *self.pipes]
+            childs_ends = []  # closed here once the child has its copies, or on a failure
             try:
+                stop, self.stops[i] = os.pipe()
+                childs_ends.append(stop)
+                report_end, report = os.pipe()
+                childs_ends.append(report)
+                self.pipes[report_end] = i
+                ends = [*self.stops.values(), *self.pipes]
                 # A child runs _child_main, which never returns.
                 self.procs[i] = os.fork() or _child_main(self.n, walk, stop, report, ends)
+            except OSError as exc:
+                raise RuntimeError(f"could not start the race workers: {exc}") from exc
             finally:
-                os.close(stop)
-                os.close(report)
+                for fd in childs_ends:
+                    os.close(fd)
 
     def report(self, idx, out):
         """Record worker idx's outcome; the first factor stops the rest."""
@@ -299,8 +311,9 @@ def _run_round(n, walks):
     others are forked then.  Once children exist, the first factor stops
     the others at their next batch boundary; a child's factor reaches the
     caller through worker 0's next poll.  A child that raises, or exits
-    without reporting, fails the round with RuntimeError; an exception of
-    worker 0 propagates as it is.  On every way out, errors and
+    without reporting, fails the round with RuntimeError, and so does a
+    failed os.pipe or os.fork, once every pipe end is closed; an exception
+    of worker 0 propagates as it is.  On every way out, errors and
     KeyboardInterrupt included, every child is killed and reaped, so no
     worker computation survives this call.
     """
@@ -330,7 +343,9 @@ def race_factor(
     not 0, n-2 or a handed walk's c, so a None entry is the same as no walk,
     and a race with no walks starts on 1..k.  Rounds retry on fresh walks
     until a factor appears or MAX_ROUNDS rounds have failed; either, or
-    running out of unused constants, raises FactorSearchExhausted.
+    running out of unused constants, raises FactorSearchExhausted.  A
+    round whose child raised, was lost or could not start raises
+    RuntimeError at once, with no child left and every pipe end closed.
 
     The pipeline races only composites.  A direct call on a prime p can
     find no factor: with no budget, each walk of each of the MAX_ROUNDS

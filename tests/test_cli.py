@@ -13,6 +13,7 @@ from contextlib import suppress
 
 import pytest
 
+from rhorace import bench as bench_mod
 from rhorace import cli
 from rhorace import race as race_mod
 from rhorace import rho as rho_mod
@@ -111,27 +112,44 @@ def test_factor_incomplete_names_every_pending_cofactor(capsys):
     assert printed * math.prod(cofactors) == n
 
 
-def test_factor_fork_failure_exits_one(monkeypatch, capsys):
-    # Worker 0 walks past SOLO_STEPS on this semiprime, so the race forks,
-    # and the patched fork fails as a full process table would.
+def _racing_argv(command, n, out_dir):
+    """factor on n at 2 workers, or a bench whose 2-worker cell races.
+
+    Under race.SOLO_STEPS = 0 either race forks at worker 0's first poll.
+    """
+    if command == "factor":
+        return ["factor", str(n), "--workers", "2"]
+    return ["bench", "--classes", "30", "--per-class", "1", "--workers", "1,2",
+            "--small-digits", "8", "--out", str(out_dir)]
+
+
+@pytest.mark.parametrize("command", ["factor", "bench"])
+def test_fork_failure_exits_one(command, monkeypatch, tmp_path, capsys):
+    # The patched fork fails as a full process table would.
     def no_fork():
         raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
 
+    monkeypatch.setattr(race_mod, "SOLO_STEPS", 0)
     monkeypatch.setattr(os, "fork", no_fork)
+    out_dir = tmp_path / "bench"
     with _deadline(10):
-        code = run_cli("factor", str(5063259979 * 94887001943), "--workers", "2")
+        code = run_cli(*_racing_argv(command, 5063259979 * 94887001943, out_dir))
     captured = capsys.readouterr()
     assert code == 1
     assert captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: could not start the race workers: ")
     assert "Resource temporarily unavailable" in lines[0]
+    assert not out_dir.exists()
     _assert_no_child()
 
 
-def test_factor_failed_worker_exits_one(monkeypatch, capsys):
+@pytest.mark.parametrize("command", ["factor", "bench"])
+def test_failed_worker_exits_one(command, monkeypatch, tmp_path, capsys):
     # The forked child raises at its first batch; worker 0 cannot split
-    # HARD_SEMIPRIME first, so the child's error ends the race.
+    # HARD_SEMIPRIME first, so the child's error ends the race.  In bench,
+    # the caller reads every child's report before the round returns, so
+    # the error ends the 2-worker cell whoever finds a factor first.
     monkeypatch.setattr(race_mod, "SOLO_STEPS", 0)
     caller = os.getpid()
     resume = rho_mod.resume
@@ -142,13 +160,15 @@ def test_factor_failed_worker_exits_one(monkeypatch, capsys):
         raise ValueError("planted")
 
     monkeypatch.setattr(rho_mod, "resume", child_raises)
+    out_dir = tmp_path / "bench"
     with _deadline(10):
-        code = run_cli("factor", str(HARD_SEMIPRIME), "--workers", "2")
+        code = run_cli(*_racing_argv(command, HARD_SEMIPRIME, out_dir))
     captured = capsys.readouterr()
     assert code == 1
     assert captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: race worker")
+    assert not out_dir.exists()
     _assert_no_child()
 
 
@@ -256,12 +276,35 @@ def test_bench_rejects_unbuildable_suites(args, tmp_path, capsys):
     assert not out_dir.exists()
 
 
-def test_bench_rejects_zero_workers():
-    assert run_cli("bench", "--workers", "0,1") == 2
+@pytest.mark.parametrize(
+    "args",
+    [["--workers", "0,1"], ["--classes", "20,x"], ["--classes", "12,12"], ["--workers", "1,1"]],
+    ids=["zero-workers", "garbage-classes", "repeated-class", "repeated-workers"],
+)
+def test_bench_rejects_bad_lists(args, monkeypatch, tmp_path):
+    # argparse refuses the list, so no cell is timed.
+    def no_run(*_):
+        pytest.fail("run_suite ran on a list the parser should refuse")
+
+    monkeypatch.setattr(bench_mod, "run_suite", no_run)
+    out_dir = tmp_path / "bench"
+    assert run_cli("bench", *args, "--out", str(out_dir)) == 2
+    assert not out_dir.exists()
 
 
-def test_bench_rejects_garbage_classes():
-    assert run_cli("bench", "--classes", "20,x") == 2
+def test_bench_exits_130_on_ctrl_c(monkeypatch, tmp_path, capsys):
+    def interrupted(*_):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(bench_mod, "factorize", interrupted)
+    out_dir = tmp_path / "bench"
+    code = run_cli(
+        "bench", "--classes", "12", "--per-class", "1", "--workers", "1",
+        "--small-digits", "5", "--out", str(out_dir),
+    )
+    assert code == 130
+    assert capsys.readouterr().err == "error: interrupted\n"
+    assert not out_dir.exists()
 
 
 def test_no_subcommand_is_usage_error():

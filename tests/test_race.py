@@ -1,5 +1,6 @@
 """Race coordination tests: constant assignment, winner claim, retries."""
 
+import errno
 import os
 import random
 import signal
@@ -399,6 +400,32 @@ def test_race_leaves_no_child_when_the_coordinator_is_interrupted(monkeypatch):
     monkeypatch.setattr(rho, "resume", interrupted_here)
     with _deadline(5), pytest.raises(KeyboardInterrupt):
         race_factor(SEMIPRIME, RaceConfig(workers=3, seed=1, detector="floyd"))
+    _assert_no_child()
+
+
+@pytest.mark.parametrize(
+    "call, failing", [("pipe", 1), ("pipe", 2), ("fork", 1)], ids=["stop-pipe", "report-pipe", "fork"]
+)
+def test_race_start_failure_closes_every_pipe_end(monkeypatch, call, failing):
+    # The only child's start fails at its first os.pipe, its second, or
+    # its os.fork, as a full descriptor or process table would make it;
+    # no process is started.
+    real = getattr(os, call)
+    calls = []
+
+    def flaky():
+        calls.append(call)
+        if len(calls) == failing:
+            raise OSError(errno.EMFILE, "Too many open files")
+        return real()
+
+    monkeypatch.setattr(race, "SOLO_STEPS", 0)
+    monkeypatch.setattr(os, call, flaky)
+    failed = rf"^could not start the race workers: \[Errno {errno.EMFILE}\] Too many open files$"
+    open_fds = len(os.listdir("/proc/self/fd"))
+    with _deadline(5), pytest.raises(RuntimeError, match=failed):
+        race_factor(LONG_SEMIPRIME, RaceConfig(workers=2))
+    assert len(os.listdir("/proc/self/fd")) == open_fds
     _assert_no_child()
 
 

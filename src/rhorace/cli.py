@@ -7,8 +7,10 @@ usage error from argparse); 1 a runtime failure, a RuntimeError or
 OSError (an incomplete factorization, a race worker that raised, was lost
 or could not start, a failed bench verification, I/O trouble), and
 selftest failures; 130 a run stopped by Ctrl-C (SIGINT), after the line
-"error: interrupted".  Only factor handles an error itself: an incomplete
-factorization prints the primes found, then names the pending cofactors.
+"error: interrupted".  A reader of stdout that leaves early, as `| head`
+does, ends the command quietly with exit 0.  Only factor handles an error
+itself: an incomplete factorization prints the primes found, then names
+the pending cofactors.
 """
 
 from __future__ import annotations
@@ -261,6 +263,12 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:  # stdout's reader is gone: stop quietly
+        # What stdout still buffers goes to devnull at shutdown, not to EPIPE.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 0
     except (RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -7,6 +7,9 @@ split are strictly smaller than what was split, so the stack always shrinks.
 When a race splits m into d and m/d, the race on m/d resumes the workers'
 walks reduced mod m/d instead of starting new ones, a never-forked worker's
 untouched walk among them; d, prime or not, starts from fresh constants.
+One crew of race workers serves every race of a call: forked at most once,
+by the first race that needs it, and killed and reaped before factorize
+returns or raises.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from collections import Counter
 from types import SimpleNamespace
 
 from .numeric import is_probable_prime
-from .race import FactorSearchExhausted, RaceConfig, race_factor
+from .race import FactorSearchExhausted, RaceConfig, _Crew, race_factor
 from .sieve import PrimeTable, load_table, trial_divide
 
 
@@ -113,6 +116,7 @@ def factorize(
 
     # Each entry is a cofactor and the walks to race it with, or None.
     stack = [(cofactor, None)] if cofactor > 1 else []
+    crew = _Crew()  # workers 1..k-1, forked at most once, for every race of this call
     try:
         while stack:
             m, walks = stack.pop()
@@ -124,7 +128,7 @@ def factorize(
                 continue
             t0 = time.perf_counter()
             try:
-                outcome = race_factor(m, config, walks)
+                outcome = race_factor(m, config, walks, _crew=crew)
             except FactorSearchExhausted as exc:
                 partial = Factorization(n, dict(counts), stats)
                 raise FactorizationIncomplete(partial, m, [m, *(c for c, _ in stack)]) from exc
@@ -135,7 +139,8 @@ def factorize(
             stack.append((d, None))
             stack.append((m // d, outcome.walks_over(m // d)))
         return Factorization(n, dict(counts), stats)
-    finally:  # after each race's own finally, so total_s covers its race_s
+    finally:  # total_s covers every race_s and the crew's kill and reap
+        crew.close()
         stats.total_s = time.perf_counter() - t_start
 
 

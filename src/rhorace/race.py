@@ -4,30 +4,41 @@ Different c values give independent pseudo-random orbits, so their collision
 times are independent draws; racing k of them and keeping the first factor
 collects the minimum.  Worker 0 runs in the calling process and workers
 1..k-1 are forked OS processes (CPython threads cannot run big-int
-arithmetic in parallel).  Forking a child costs a millisecond or two
-before its first step, more than many races take, so worker 0 first walks
-SOLO_STEPS steps alone: a race it wins by then forks nothing, and a longer
-one forks the k-1 children at that mark while worker 0 walks on without a
-restart.
+arithmetic in parallel).  The children are a crew that one factorize call
+forks once and keeps for all of its races; a direct race_factor call
+forks a crew of its own.  Forking a child costs a millisecond or two
+before its first step, more than many races take, so until the crew
+exists worker 0 walks SOLO_STEPS steps alone first: a race it wins by then
+forks nothing, and a longer one forks the k-1 children at that mark while
+worker 0 walks on without a restart.  Every race after that hands the
+children their walks at once, and they walk from its first step.
 
-Each child is a bare os.fork() with two pipes to the caller.  The stop
-pipe carries nothing: closing the caller's end is the stop, the same EOF
-a dead caller gives, and the child's read end turns readable with it.
-The report pipe carries one line up: the outcome's kind and decimal ints
-from which the caller rebuilds the child's outcome and walk, or "!" and
-the repr of the child's exception, so no Python object crosses the fork.
-The child first closes every caller end of a pipe that it inherited, so
-that only its caller holds the write end of its stop pipe, and it never
-returns into the caller's frames: it leaves through os._exit, with code 0
-only once it has reported.  Every worker polls once per gcd batch: a
-child selects on its stop pipe; worker 0 selects on the report pipes of
-the children that have not reported, so it stops for a child's factor or
-error, or for a child whose pipe reads EOF before a whole report, whose
-exit code os.waitpid then gives.  The first factor found stops every
-child that has not reported, and on every way out of a round the caller
-kills and reaps each child with SIGTERM and waitpid.  A child that
-raises, is lost or cannot start (os.pipe or os.fork fails) fails the
-round with RuntimeError, raised once every pipe end is closed.
+Each child is a bare os.fork() with two pipes to the caller, and both
+carry lines of text, so no Python object crosses the fork.  The down pipe
+carries each race's walk as one line: the detector's name, then n, c, x0,
+the budget (0 for none), gcd_batch, the walk's lifetime walked and its
+state as decimal ints.  A stop is one "S" line, which the caller sends
+to a child that has not reported when a factor is found; a stop that
+comes after the child's report is consumed before its next walk.  EOF on
+the down pipe means the caller is gone.  The up pipe carries one report
+per walk: the outcome's kind and decimal ints from which the caller
+rebuilds the child's outcome and walk, or "!" and the repr of the child's
+exception.  The child
+first closes every caller end of a pipe that it inherited, so that only
+its caller holds the write end of its down pipe, and it never returns
+into the caller's frames: it leaves through os._exit, with code 0 only
+when its down pipe reads EOF after it has reported every walk it was
+handed.  Every worker polls once per gcd batch: a child selects on its
+down pipe; worker 0 selects on the up pipes of the children that have not
+reported in this race, so it stops for a child's factor or error, or for
+a child whose pipe reads EOF before a whole report, whose exit code
+os.waitpid then gives.  A write to a child's down pipe that fails finds a
+child lost in the same way.  The first factor found stops every child
+that has not reported.  A child that raises, is lost or cannot start
+(os.pipe or os.fork fails) fails the race with RuntimeError.  The
+crew's close, in factorize's finally or at the end of a direct call,
+closes every caller end of the pipes and kills and reaps each child with
+SIGTERM and waitpid, on every way out, so no child outlives the call.
 
 Every worker's start is a rho.Walk.  race_factor can be handed one walk
 per worker to resume (RaceOutcome.walks_over gives them for a cofactor of
@@ -37,9 +48,9 @@ constant of one sequence per race: c = 1, 2, 3, ... mod n, skipping the
 degenerate 0 and n-2 and every c a handed walk holds, so no c is walked
 twice in a race; its start value is a seeded draw.  _run_round races the
 walks it is given, one per worker, at every worker count: worker 0
-resumes its walk in the caller, a child is handed its walk when it is
-forked, and every worker's outcome, a never-forked worker's included,
-carries the walk it ended in.
+resumes its walk in the caller, a child is handed its walk on its down
+pipe, and every worker's outcome, a worker's that was handed none
+included, carries the walk it ended in.
 
 With workers=1 the round is worker 0 alone: it forks nothing, its poll
 never stops it, and its outcome is byte-for-byte a direct call of the
@@ -61,13 +72,14 @@ from . import rho
 from .rho import RhoOutcome, RhoParams, Walk
 
 MAX_ROUNDS = 16  # rounds a race tries before FactorSearchExhausted
-# Worker 0 walks this many steps alone before workers 1..k-1 are forked:
-# 52 batches of 128, about 3.3 ms of Brent steps on a 21-digit n, a little
-# more than the median 2.2 ms a forked child takes from fork() to its first
-# step (60 forks on 2 vCPUs, Python 3.11, the caller holding the 10**6
-# table).  The fork comes at worker 0's first batch boundary at or past the
-# mark: step 6656 for Floyd, 6782 for a fresh Brent walk, whose first 14
-# batches (phases r = 1..64) are shorter than 128 steps.
+# Until the crew exists, worker 0 walks this many steps alone before workers
+# 1..k-1 are forked; once it exists, no race waits for a mark.  6656 steps
+# are 52 batches of 128, about 3.3 ms of Brent steps on a 21-digit n, a
+# little more than the median 2.2 ms a forked child takes from fork() to
+# its first step (60 forks on 2 vCPUs, Python 3.11, the caller holding the
+# 10**6 table).  The fork comes at worker 0's first batch boundary at or
+# past the mark: step 6656 for Floyd, 6782 for a fresh Brent walk, whose
+# first 14 batches (phases r = 1..64) are shorter than 128 steps.
 SOLO_STEPS = 6656
 
 
@@ -161,128 +173,119 @@ def _constants(n, used):
             yield c
 
 
-def _child_main(n, walk, stop, report, callers_ends):
-    """A forked worker: walk until done or stopped, report, then _exit.
+def _child_main(down, up, callers_ends):
+    """A forked worker: walk each walk handed to it until it is done or
+    stopped, report it, and _exit once the caller is gone.
 
-    The walk selects on stop once per batch.  The report written to report
-    is one line: the outcome's kind, then its iterations, factor (0 for
-    none), the walk's lifetime walked and its state as decimal ints; an
-    exception is "!" and its repr instead.  The caller's ends of the pipes
-    made so far, this child's own among them, came along with the fork:
-    closing them leaves the caller the only writer of each stop pipe.  The
-    child never returns into the caller's frames: whatever it meets, a
-    BaseException included, it leaves through os._exit, with code 0 only
-    once its report is written.
+    A walk line (see the module docstring) is read from down; the walk
+    selects on down once per batch, and the stop, or EOF, waiting there
+    stops it.  The report written to up is one line: the outcome's kind,
+    then its iterations, factor (0 for none), the walk's lifetime walked
+    and its state as decimal ints; an exception is "!" and its repr
+    instead.  A stop read where a walk would start came after the report
+    and is skipped.  The caller's ends of the pipes made so far, this child's own
+    among them, came along with the fork: closing them leaves the caller
+    the only writer of each down pipe.  The child never returns into the
+    caller's frames: whatever it meets, a BaseException included, it
+    leaves through os._exit, with code 0 only when down reads EOF after
+    every walk handed to it was reported.
     """
     try:
         for fd in callers_ends:
             os.close(fd)
-        try:
-            out = rho.resume(n, walk, lambda steps: bool(select.select([stop], [], [], 0)[0]))
-            ints = (out.iterations, out.factor or 0, out.walk.walked, *out.walk.state)
-            line = " ".join(map(str, (out.kind, *ints)))
-        except Exception as exc:  # report instead of hanging the coordinator
-            line = "!" + repr(exc)
-        os.write(report, f"{line}\n".encode())
+        pending = b""  # read from down, not yet taken as a line
+
+        def next_line():
+            nonlocal pending
+            while b"\n" not in pending:
+                if not (chunk := os.read(down, 1 << 16)):
+                    return None  # EOF: the caller is gone
+                pending += chunk
+            line, pending = pending.split(b"\n", 1)
+            return line.decode()
+
+        def stopped(steps):
+            return bool(pending) or bool(select.select([down], [], [], 0)[0])
+
+        while (line := next_line()) is not None:
+            if line == "S":
+                continue  # the stop of a walk that had ended before it came
+            try:
+                name, *ints = line.split()
+                n, c, x0, budget, batch, walked, *state = map(int, ints)
+                params = RhoParams(c, x0, budget or None, batch)
+                out = rho.resume(n, Walk(rho.DETECTORS[name][0], params, tuple(state), walked), stopped)
+                ints = (out.iterations, out.factor or 0, out.walk.walked, *out.walk.state)
+                report = " ".join(map(str, (out.kind, *ints)))
+            except Exception as exc:  # report instead of hanging the coordinator
+                report = "!" + repr(exc)
+            os.write(up, f"{report}\n".encode())
         os._exit(0)
     finally:
-        os._exit(1)  # no report: a BaseException, or the caller is gone
+        os._exit(1)  # a BaseException, or the caller gone while it reported
 
 
-class _Round:
-    """One round of a race, seen from the caller, which runs worker 0.
+class _Crew:
+    """Workers 1..k-1 of one factorize call, or of one direct race_factor
+    call: forked once, by the first round that hands them walks, and kept
+    until close.
 
-    Worker 0's cancel is this object's poll, at every worker count.
-    Until worker 0 has walked SOLO_STEPS steps in this race nothing else
-    exists, and the poll only compares the steps the driver reports.  The
-    poll at the mark forks workers 1..k-1 with os.fork, each handed its
-    walk and two pipes: a stop pipe down to it and a report pipe up from
-    it; with k=1 it forks nothing.  From then on the poll is one select
-    over the report pipes of the children that have not reported, skipped
-    while none is open: a report pipe turns readable when its child
-    reports an outcome or an error, or exits without reporting.  The first
-    factor, worker 0's or a child's, stops every child that has not
-    reported.  A child's error, or a child lost, raises RuntimeError at
-    once; a lost child is one whose report pipe reads EOF before a whole
-    line, and os.waitpid gives its exit code.  Each worker's outcome starts
-    as RhoOutcome(CANCELLED, 0) carrying the walk it was handed, which is
-    what a worker that is never forked reports.
+    Each child has a down pipe, whose caller end is in downs, and an up
+    pipe, whose caller end is in ups.  A lost child is reaped at once and
+    leaves procs; close kills and reaps the rest.  With k=1 there are no
+    children, and fork forks nothing.
     """
 
-    def __init__(self, n, walks):
-        self.n = n
-        self.walks = walks
+    def __init__(self):
         self.forked = False
         self.procs = {}  # child index -> pid, until the child is reaped
-        self.stops = {}  # child index -> caller's end of its stop pipe, until it is stopped
-        self.pipes = {}  # caller's end of a report pipe -> child index, until it reports
-        self.results = [RhoOutcome(rho.CANCELLED, 0, walk=walk) for walk in walks]
-        self.winner = None
+        self.downs = {}  # child index -> caller's end of its down pipe
+        self.ups = {}  # child index -> caller's end of its up pipe
 
-    def poll(self, steps):
-        """Worker 0's poll, before each gcd batch; steps is what it has
-        walked in this race so far."""
-        if not self.forked:
-            if steps < SOLO_STEPS:
-                return False
-            self.fork()
-        if self.pipes:
-            for fd in select.select(list(self.pipes), [], [], 0)[0]:
-                self.read(fd)
-        return self.winner is not None
-
-    def fork(self):
-        """Start workers 1..k-1; a no-op once they are started.
+    def fork(self, children):
+        """Fork children 1..children: once, by the crew's first round.
 
         If os.pipe or os.fork fails, raises RuntimeError naming the OS
         error, after closing the child's ends of the pipes made for it;
         close() closes the caller's ends and reaps the children started.
         """
-        if self.forked:
-            return
         self.forked = True
-        for i, walk in enumerate(self.walks[1:], start=1):
+        for i in range(1, children + 1):
             childs_ends = []  # closed here once the child has its copies, or on a failure
             try:
-                stop, self.stops[i] = os.pipe()
-                childs_ends.append(stop)
-                report_end, report = os.pipe()
-                childs_ends.append(report)
-                self.pipes[report_end] = i
-                ends = [*self.stops.values(), *self.pipes]
+                down, self.downs[i] = os.pipe()
+                childs_ends.append(down)
+                self.ups[i], up = os.pipe()
+                childs_ends.append(up)
+                ends = [*self.downs.values(), *self.ups.values()]
                 # A child runs _child_main, which never returns.
-                self.procs[i] = os.fork() or _child_main(self.n, walk, stop, report, ends)
+                self.procs[i] = os.fork() or _child_main(down, up, ends)
             except OSError as exc:
                 raise RuntimeError(f"could not start the race workers: {exc}") from exc
             finally:
                 for fd in childs_ends:
                     os.close(fd)
 
-    def report(self, idx, out):
-        """Record worker idx's outcome; the first factor stops the rest."""
-        self.results[idx] = out
-        if out.found and self.winner is None:
-            self.winner = idx
-            for i in self.pipes.values():
-                os.close(self.stops.pop(i))
+    def hand(self, i, n, walk):
+        """Send child i its walk on n."""
+        params = walk.params
+        name = next(name for name, (step, _) in rho.DETECTORS.items() if step is walk.step)
+        ints = (n, params.c, params.x0, params.max_iters or 0, params.gcd_batch, walk.walked, *walk.state)
+        self.send(i, " ".join(map(str, (name, *ints))) + "\n")
 
-    def read(self, fd):
-        """Take the report a readable pipe holds; fail on an error or EOF."""
-        data = b""
-        while not data.endswith(b"\n") and (chunk := os.read(fd, 1 << 16)):
-            data += chunk
-        idx = self.pipes.pop(fd)
-        os.close(fd)
-        line = data.decode()
-        if not line.endswith("\n"):  # EOF first: the child exited without reporting
-            code = os.waitstatus_to_exitcode(os.waitpid(self.procs.pop(idx), 0)[1])
-            raise RuntimeError(f"race worker {idx} exited with code {code} without reporting")
-        if line.startswith("!"):
-            raise RuntimeError(f"race worker(s) failed: {[(idx, line[1:-1])]}")
-        kind, *ints = line.split()
-        iterations, factor, walked, *state = map(int, ints)
-        walk = Walk(self.walks[idx].step, self.walks[idx].params, tuple(state), walked)
-        self.report(idx, RhoOutcome(kind, iterations, factor or None, walk))
+    def send(self, i, text):
+        """Write text to child i's down pipe; a child gone is a lost child."""
+        data = text.encode()
+        try:
+            while data:
+                data = data[os.write(self.downs[i], data) :]
+        except BrokenPipeError:
+            self.lost(i)
+
+    def lost(self, i):
+        """Reap child i, which exited without reporting, and raise."""
+        code = os.waitstatus_to_exitcode(os.waitpid(self.procs.pop(i), 0)[1])
+        raise RuntimeError(f"race worker {i} exited with code {code} without reporting")
 
     def close(self):
         """Close the caller's pipe ends, then kill and reap every child.
@@ -292,7 +295,7 @@ class _Round:
         """
         import signal  # here, not at the top: it costs about 1 ms at import
 
-        for fd in [*self.stops.values(), *self.pipes]:
+        for fd in [*self.downs.values(), *self.ups.values()]:
             os.close(fd)
         for pid in self.procs.values():
             os.kill(pid, signal.SIGTERM)
@@ -300,38 +303,115 @@ class _Round:
             os.waitpid(pid, 0)
 
 
-def _run_round(n, walks):
-    """Race walks[i] as worker i: 0 here, 1..k-1 in forked children.
+class _Round:
+    """One round of a race, seen from the caller, which runs worker 0.
+
+    Worker 0's cancel is this object's poll, at every worker count.  While
+    the crew is not forked and worker 0 has walked fewer than SOLO_STEPS
+    steps in this race, the poll only compares the steps rho.resume
+    reports.  The poll at the mark, or the first poll once the crew
+    exists, hands workers 1..k-1 their walks, forking the crew first if it
+    is not forked yet; with k=1 there is nothing to hand.  From then on the poll is one
+    select over the up pipes of the children that have not reported in
+    this round, skipped while none is open: an up pipe turns readable when
+    its child reports an outcome or an error, or exits without reporting.
+    The first factor, worker 0's or a child's, stops every child that has
+    not reported.  A child's error, or a child lost, raises RuntimeError
+    at once; a lost child is one whose up pipe reads EOF before a whole
+    line, or whose down pipe fails a write, and os.waitpid gives its exit
+    code.  Each worker's outcome starts as RhoOutcome(CANCELLED, 0)
+    carrying the walk it was handed, which is what a worker reports that
+    is never handed it.
+    """
+
+    def __init__(self, n, walks, crew):
+        self.n = n
+        self.walks = walks
+        self.crew = crew
+        self.started = False
+        self.pipes = {}  # caller's end of an up pipe -> child index, until it reports
+        self.results = [RhoOutcome(rho.CANCELLED, 0, walk=walk) for walk in walks]
+        self.winner = None
+
+    def poll(self, steps):
+        """Worker 0's poll, before each gcd batch; steps is what it has
+        walked in this race so far."""
+        if not self.started:
+            if steps < SOLO_STEPS and not self.crew.forked:
+                return False
+            self.start()
+        if self.pipes:
+            for fd in select.select(list(self.pipes), [], [], 0)[0]:
+                self.read(fd)
+        return self.winner is not None
+
+    def start(self):
+        """Hand workers 1..k-1 their walks, forking the crew if it is not
+        forked yet; a no-op once they are handed."""
+        if self.started:
+            return
+        self.started = True
+        if not self.crew.forked:
+            self.crew.fork(len(self.walks) - 1)
+        for i, walk in enumerate(self.walks[1:], start=1):
+            self.crew.hand(i, self.n, walk)
+            self.pipes[self.crew.ups[i]] = i
+
+    def report(self, idx, out):
+        """Record worker idx's outcome; the first factor stops the rest."""
+        self.results[idx] = out
+        if out.found and self.winner is None:
+            self.winner = idx
+            for i in self.pipes.values():
+                self.crew.send(i, "S\n")
+
+    def read(self, fd):
+        """Take the report a readable pipe holds; fail on an error or EOF."""
+        data = b""
+        while not data.endswith(b"\n") and (chunk := os.read(fd, 1 << 16)):
+            data += chunk
+        idx = self.pipes.pop(fd)
+        line = data.decode()
+        if not line.endswith("\n"):  # EOF first: the child exited without reporting
+            self.crew.lost(idx)
+        if line.startswith("!"):
+            raise RuntimeError(f"race worker(s) failed: {[(idx, line[1:-1])]}")
+        kind, *ints = line.split()
+        iterations, factor, walked, *state = map(int, ints)
+        walk = Walk(self.walks[idx].step, self.walks[idx].params, tuple(state), walked)
+        self.report(idx, RhoOutcome(kind, iterations, factor or None, walk))
+
+
+def _run_round(n, walks, crew):
+    """Race walks[i] as worker i: 0 here, 1..k-1 in crew's children.
 
     Every worker count runs here; with one walk, worker 0 walks alone and
     nothing is forked.  Returns (outcomes by worker index, index of the
     first worker whose factor was reported, or None); each outcome's walk
-    is where that worker stopped.  If worker 0 finds a factor within its
-    SOLO_STEPS head start, no child is forked; if it fails within it, the
-    others are forked then.  Once children exist, the first factor stops
-    the others at their next batch boundary; a child's factor reaches the
-    caller through worker 0's next poll.  A child that raises, or exits
-    without reporting, fails the round with RuntimeError, and so does a
-    failed os.pipe or os.fork, once every pipe end is closed; an exception
-    of worker 0 propagates as it is.  On every way out, errors and
-    KeyboardInterrupt included, every child is killed and reaped, so no
-    worker computation survives this call.
+    is where that worker stopped.  Until the crew is forked, a factor
+    worker 0 finds within its SOLO_STEPS head start forks nothing, and a
+    failure within it forks the crew then; once the crew exists, the
+    children are handed their walks at worker 0's first poll.  The first
+    factor stops the others at their next batch boundary; a child's factor
+    reaches the caller through worker 0's next poll.  The round returns
+    once every child handed a walk has reported, so the crew is ready for
+    the next round.  A child that raises, or exits without reporting,
+    fails the round with RuntimeError, and so does a failed os.pipe or
+    os.fork; an exception of worker 0 propagates as it is.  Either leaves
+    the crew mid-round: its owner closes it.
     """
-    this_round = _Round(n, walks)
-    try:
-        this_round.report(0, rho.resume(n, walks[0], this_round.poll))
-        if this_round.winner is None:
-            this_round.fork()
-        while this_round.pipes:
-            for fd in select.select(list(this_round.pipes), [], [])[0]:
-                this_round.read(fd)
-        return this_round.results, this_round.winner
-    finally:
-        this_round.close()
+    this_round = _Round(n, walks, crew)
+    this_round.report(0, rho.resume(n, walks[0], this_round.poll))
+    if this_round.winner is None:
+        this_round.start()
+    while this_round.pipes:
+        for fd in select.select(list(this_round.pipes), [], [])[0]:
+            this_round.read(fd)
+    return this_round.results, this_round.winner
 
 
 def race_factor(
-    n: int, config: RaceConfig | None = None, walks: list[Walk | None] | None = None
+    n: int, config: RaceConfig | None = None, walks: list[Walk | None] | None = None, *, _crew=None
 ) -> RaceOutcome:
     """Find one nontrivial factor of n by racing workers, first factor wins.
 
@@ -345,7 +425,12 @@ def race_factor(
     until a factor appears or MAX_ROUNDS rounds have failed; either, or
     running out of unused constants, raises FactorSearchExhausted.  A
     round whose child raised, was lost or could not start raises
-    RuntimeError at once, with no child left and every pipe end closed.
+    RuntimeError at once.
+
+    The call forks its workers 1..k-1 at most once, and kills and reaps
+    them before it returns or raises, so no child outlives it and every
+    pipe end is closed.  _crew is factorize's: it hands the one crew of
+    its call to each of its races, and closes it itself.
 
     The pipeline races only composites.  A direct call on a prime p can
     find no factor: with no budget, each walk of each of the MAX_ROUNDS
@@ -366,18 +451,23 @@ def race_factor(
         params = RhoParams.make(n, next(cs), rng.randrange(n), config.max_iters, config.gcd_batch)
         return rho.start(config.detector, params)
 
-    for round_no in range(MAX_ROUNDS):
-        try:
-            starts = [w if w is not None else fresh() for w in carried]
-        except StopIteration:  # every usable constant mod n is taken
-            raise FactorSearchExhausted(n, round_no) from None
-        carried = [None] * workers
-        outcomes, winner = _run_round(n, starts)
-        if winner is not None:
-            return RaceOutcome(
-                factor=outcomes[winner].factor,
-                winner=winner,
-                rounds=round_no + 1,
-                worker_outcomes=outcomes,
-            )
-    raise FactorSearchExhausted(n, MAX_ROUNDS)
+    crew = _Crew() if _crew is None else _crew
+    try:
+        for round_no in range(MAX_ROUNDS):
+            try:
+                starts = [w if w is not None else fresh() for w in carried]
+            except StopIteration:  # every usable constant mod n is taken
+                raise FactorSearchExhausted(n, round_no) from None
+            carried = [None] * workers
+            outcomes, winner = _run_round(n, starts, crew)
+            if winner is not None:
+                return RaceOutcome(
+                    factor=outcomes[winner].factor,
+                    winner=winner,
+                    rounds=round_no + 1,
+                    worker_outcomes=outcomes,
+                )
+        raise FactorSearchExhausted(n, MAX_ROUNDS)
+    finally:
+        if crew is not _crew:
+            crew.close()

@@ -20,7 +20,7 @@ from rhorace.cli import _oracle_factorize
 from rhorace.pipeline import factorize, verify
 from rhorace.race import RaceConfig
 from rhorace.rho import CANCELLED, FACTOR, RhoParams, rho_attempt
-from test_race import _assert_no_child
+from test_race import _assert_no_child, _one_round
 
 ORACLE_SWEEP_LIMIT = 100_000
 ORACLE_SWEEP_BUDGET_S = 60.0
@@ -307,7 +307,7 @@ def test_criterion_8_cancellation_latency(capsys, monkeypatch):
         rho.start("floyd", RhoParams.make(n, c, x0=0, max_iters=budget, gcd_batch=batch))
         for c in (2 * p, 1, 2, 3)
     ]
-    outcomes, winner = race._run_round(n, walks)
+    outcomes, winner = _one_round(n, walks)
     assert winner == 0
     winner_out = outcomes[0]
     assert winner_out.kind == FACTOR

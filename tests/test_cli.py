@@ -351,6 +351,29 @@ def test_module_entry_point(src_env):
     assert proc.stdout == "83^1\n97^1\n"
 
 
+def test_gen_into_a_pipe_whose_reader_left_exits_quietly(src_env):
+    # As `rhorace gen ... | head -1`: the reader takes one line and leaves.
+    argv = ["gen", "--digits", "12", "--small", "4", "--count", "20000"]
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "rhorace", *argv],
+        env=src_env,
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+    )
+    try:
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=120) == 0
+    finally:
+        proc.kill()
+        proc.wait()
+        proc.stderr.close()
+    assert len(first.strip()) == 12
+    assert err == ""
+
+
 _ANNOUNCED_FACTOR = _ANNOUNCE_FORKS + """
 import sys
 from rhorace import cli
@@ -371,6 +394,9 @@ def test_factor_exits_130_on_ctrl_c(group, src_env):
         stderr=subprocess.PIPE,
         text=True,
         start_new_session=True,
+        # SIGINT as a terminal's shell leaves it, even when pytest runs as a
+        # background job, which ignores SIGINT and would pass that on.
+        preexec_fn=lambda: signal.signal(signal.SIGINT, signal.SIG_DFL),
     )
     pids = []
     try:

@@ -1,12 +1,13 @@
 """End-to-end factorization tests: pre-pass, recursion, verification."""
 
+import os
 import random
 
 import pytest
 
 import oracles
 from rhorace import pipeline, race, rho
-from rhorace.bench import _random_prime_digits
+from rhorace.bench import _random_prime_digits, gen_input
 from rhorace.cli import _oracle_factorize
 from rhorace.numeric import is_probable_prime
 from rhorace.pipeline import (
@@ -18,7 +19,7 @@ from rhorace.pipeline import (
 from rhorace.race import RaceConfig
 from rhorace.rho import CANCELLED, RhoOutcome, resume
 from rhorace.sieve import sieve
-from test_race import _CountingFork, _assert_no_child
+from test_race import _CountingFork, _assert_no_child, _deadline
 
 CFG1 = RaceConfig(workers=1, seed=0)
 
@@ -194,8 +195,8 @@ def _record_races(monkeypatch):
     races = []
     real = pipeline.race_factor
 
-    def recording(m, config, walks=None):
-        outcome = real(m, config, walks)
+    def recording(m, config, walks=None, **crew):
+        outcome = real(m, config, walks, **crew)
         races.append((m, walks, outcome))
         return outcome
 
@@ -270,4 +271,60 @@ def test_factorize_races_a_composite_factor_from_fresh_constants(monkeypatch, ta
     (m1, _, first), (m2, walks2, _) = races
     assert not is_probable_prime(first.factor)
     assert (m2, walks2) == (first.factor, None)
+    _assert_no_child()
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+def test_factorize_forks_its_workers_once_for_all_of_its_races(monkeypatch, workers):
+    # Three races, each past the mark or handed its walks at once: one crew.
+    counting = _CountingFork(monkeypatch)
+    n = gen_input(40, 7, 0)
+    result = factorize(n, RaceConfig(workers=workers))
+    assert verify(result) and result.input == n
+    assert len(result.stats.races) == 3
+    assert counting.starts == workers - 1
+    _assert_no_child()
+
+
+def test_factorize_leaves_no_child_when_a_later_race_gives_up(monkeypatch, table_1e6):
+    # The first race forks the crew; from the second on, MAX_ROUNDS = 0.
+    monkeypatch.setattr(race, "SOLO_STEPS", 0)
+    counting = _CountingFork(monkeypatch)
+    real = pipeline.race_factor
+
+    def then_no_rounds(*args, **crew):
+        outcome = real(*args, **crew)
+        monkeypatch.setattr(race, "MAX_ROUNDS", 0)
+        return outcome
+
+    monkeypatch.setattr(pipeline, "race_factor", then_no_rounds)
+    _, n = _three_primes(5, 10)
+    with _deadline(10), pytest.raises(FactorizationIncomplete) as exc_info:
+        factorize(n, RaceConfig(workers=3, seed=0), table_1e6)
+    assert len(exc_info.value.partial.stats.races) == 1
+    assert counting.starts == 2
+    _assert_no_child()
+
+
+def test_factorize_leaves_no_child_when_interrupted_in_a_later_race(monkeypatch, table_1e6):
+    # Worker 0 hands the crew its walks in the second race, then Ctrl-C.
+    monkeypatch.setattr(race, "SOLO_STEPS", 0)
+    counting = _CountingFork(monkeypatch)
+    coordinator = os.getpid()
+    races = []
+
+    def interrupted_in_the_second_race(n, walk, cancel=None):
+        if os.getpid() == coordinator:
+            races.append(n)
+            if len(races) == 2:
+                cancel(0)
+                raise KeyboardInterrupt
+        return resume(n, walk, cancel)
+
+    monkeypatch.setattr(rho, "resume", interrupted_in_the_second_race)
+    _, n = _three_primes(5, 10)
+    with _deadline(10), pytest.raises(KeyboardInterrupt):
+        factorize(n, RaceConfig(workers=3, seed=0), table_1e6)
+    assert len(races) == 2
+    assert counting.starts == 2
     _assert_no_child()

@@ -197,7 +197,7 @@ def test_race_factor_valid_across_schedules():
 
 def test_race_explicit_constants_and_starts():
     walk = rho.start("floyd", RhoParams.make(8051, c=1, x0=2, gcd_batch=1))
-    outcomes, winner = race._run_round(8051, [walk])
+    outcomes, winner = _one_round(8051, [walk])
     assert winner == 0
     assert outcomes == [RhoOutcome(FACTOR, 3, 97)]
 
@@ -289,6 +289,36 @@ class _CountingFork:
         return self.real()
 
 
+class _ExitAfterReport(_CountingFork):
+    """os.fork, patched for one test: the victim-th child of this process
+    exits with code 0 right after its first report."""
+
+    def __init__(self, monkeypatch, victim):
+        super().__init__(monkeypatch)
+        self.victim = victim
+
+    def __call__(self):
+        pid = super().__call__()
+        if pid == 0 and self.starts == self.victim:  # in the child, which owns its os module
+            write = os.write
+
+            def write_then_exit(fd, data):
+                write(fd, data)
+                os._exit(0)
+
+            os.write = write_then_exit
+        return pid
+
+
+def _one_round(n, walks):
+    """race._run_round on a crew of its own, closed once the round ends."""
+    crew = race._Crew()
+    try:
+        return race._run_round(n, walks, crew)
+    finally:
+        crew.close()
+
+
 def _assert_no_child():
     """Assert that this process has no child at all, running or unreaped."""
     with pytest.raises(ChildProcessError):
@@ -302,7 +332,44 @@ def test_race_forks_one_process_fewer_than_workers(monkeypatch, workers):
     outcome = race_factor(SEMIPRIME, RaceConfig(workers=workers, seed=6))
     assert SEMIPRIME % outcome.factor == 0
     assert len(outcome.worker_outcomes) == workers
-    assert counting.starts == (workers - 1) * outcome.rounds
+    assert counting.starts == workers - 1
+    _assert_no_child()
+
+
+def test_a_direct_race_forks_and_reaps_a_crew_of_its_own(monkeypatch, tmp_path):
+    # The first round's walks meet their cycle at once; the crew forked
+    # for it walks the second round too, and is gone when the call returns.
+    monkeypatch.setattr(race, "SOLO_STEPS", 0)
+    monkeypatch.setattr(rho, "resume", _ResumeSpy(tmp_path / "cs", fails=lambda c: c <= 3))
+    counting = _CountingFork(monkeypatch)
+    for calls in (1, 2):
+        outcome = race_factor(SEMIPRIME, RaceConfig(workers=3, seed=3))
+        assert SEMIPRIME % outcome.factor == 0
+        assert outcome.rounds == 2
+        assert counting.starts == 2 * calls
+        _assert_no_child()
+
+
+def test_race_reports_a_child_that_exits_between_rounds(monkeypatch):
+    # Child 1 exits after its first-round report; worker 0's second-round
+    # walk waits until it is gone, so the walk handed to it meets a broken
+    # pipe, which must give the lost child's error, not a BrokenPipeError.
+    monkeypatch.setattr(race, "SOLO_STEPS", 0)
+    coordinator = os.getpid()
+    resume = rho.resume
+
+    def first_round_cycles(n, walk, cancel=None):
+        if walk.params.c <= 2:
+            return RhoOutcome(NO_FACTOR_CYCLE, 1, walk=walk)
+        if os.getpid() == coordinator:
+            time.sleep(0.2)
+        return resume(n, walk, cancel)
+
+    monkeypatch.setattr(rho, "resume", first_round_cycles)
+    _ExitAfterReport(monkeypatch, 1)
+    lost = r"race worker 1 exited with code 0 without reporting"
+    with _deadline(5), pytest.raises(RuntimeError, match=lost):
+        race_factor(HARD_SEMIPRIME, RaceConfig(workers=2, seed=1))
     _assert_no_child()
 
 
@@ -324,7 +391,7 @@ def test_race_child_winner_cancels_the_coordinator(monkeypatch):
         for c in (1, 2 * p, 2)
     ]
     with _deadline(20):
-        outcomes, winner = race._run_round(n, walks)
+        outcomes, winner = _one_round(n, walks)
     assert winner == 1
     winner_out = outcomes[1]
     assert winner_out.kind == FACTOR
@@ -466,21 +533,21 @@ def test_race_reports_a_child_lost_after_the_stop_was_sent(monkeypatch):
     walks = [rho.start("floyd", RhoParams.make(n, c, x0=0, gcd_batch=16)) for c in (2 * p, 1, 2)]
     lost = r"race worker [12] exited with code 3 without reporting"
     with _deadline(5), pytest.raises(RuntimeError, match=lost):
-        race._run_round(n, walks)
+        _one_round(n, walks)
     _assert_no_child()
 
 
-# Script lines that make each race print its children's pids as it forks them.
+# Script lines that make each crew print its children's pids as it forks them.
 _ANNOUNCE_FORKS = """
 from rhorace import race
 
-fork = race._Round.fork
+fork = race._Crew.fork
 
-def announce(self):
-    fork(self)
+def announce(self, children):
+    fork(self, children)
     print(*self.procs.values(), flush=True)
 
-race._Round.fork = announce
+race._Crew.fork = announce
 """
 _ANNOUNCE_CHILDREN = _ANNOUNCE_FORKS + f"""
 from rhorace import RaceConfig, factorize
@@ -573,7 +640,7 @@ def test_race_forks_only_once_worker_0_passes_the_mark(monkeypatch, workers):
     long = race_factor(LONG_SEMIPRIME, RaceConfig(workers=workers, seed=6))
     assert long.factor in (5063259979, 94887001943)
     assert len(long.worker_outcomes) == workers
-    assert counting.starts == (workers - 1) * long.rounds
+    assert counting.starts == workers - 1
     _assert_no_child()
 
 
@@ -585,7 +652,7 @@ def test_race_worker_0_walks_on_through_the_fork(monkeypatch):
     for n, forks in ((SEMIPRIME, 0), (LONG_SEMIPRIME, 2)):
         params_list = [RhoParams.make(n, 1, x0=5)]
         params_list += [RhoParams.make(n, c, x0=5, max_iters=1) for c in (2, 3)]
-        outcomes, winner = race._run_round(n, [rho.start("brent", p) for p in params_list])
+        outcomes, winner = _one_round(n, [rho.start("brent", p) for p in params_list])
         assert winner == 0
         assert outcomes[0] == brent_attempt(n, params_list[0])
         assert counting.starts == forks
@@ -599,7 +666,7 @@ def test_race_forks_the_others_when_worker_0_fails_before_the_mark(monkeypatch):
         RhoParams.make(SEMIPRIME, 1, x0=5, max_iters=128),
         RhoParams.make(SEMIPRIME, 2, x0=5),
     ]
-    outcomes, winner = race._run_round(SEMIPRIME, [rho.start("brent", p) for p in params_list])
+    outcomes, winner = _one_round(SEMIPRIME, [rho.start("brent", p) for p in params_list])
     assert counting.starts == 1
     assert winner == 1
     assert outcomes == [RhoOutcome(BUDGET_EXHAUSTED, 128), brent_attempt(SEMIPRIME, params_list[1])]
@@ -607,14 +674,14 @@ def test_race_forks_the_others_when_worker_0_fails_before_the_mark(monkeypatch):
 
 
 def _record_forks(monkeypatch):
-    """The steps worker 0 reported at the poll that forked, one per round."""
+    """The steps worker 0 reported at the poll that forked, one per crew."""
     seen = []
     poll = race._Round.poll
 
     def recording(self, steps):
-        forked = self.forked
+        forked = self.crew.forked
         out = poll(self, steps)
-        if not forked and self.forked:
+        if not forked and self.crew.forked:
             seen.append(steps)
         return out
 
@@ -632,7 +699,7 @@ def test_race_forks_at_worker_0s_first_batch_boundary_past_the_mark(monkeypatch,
         rho.start(detector, RhoParams.make(HARD_SEMIPRIME, 1, x0=5, max_iters=254 + 56 * 128)),
         rho.start(detector, RhoParams.make(HARD_SEMIPRIME, 2, x0=5, max_iters=1)),
     ]
-    outcomes, winner = race._run_round(HARD_SEMIPRIME, walks)
+    outcomes, winner = _one_round(HARD_SEMIPRIME, walks)
     assert winner is None
     assert seen == [fork_at]
     assert outcomes[0] == rho.resume(HARD_SEMIPRIME, walks[0])
@@ -640,7 +707,7 @@ def test_race_forks_at_worker_0s_first_batch_boundary_past_the_mark(monkeypatch,
     # phase r = 64 its batches are whole, so it forks at the mark itself.
     # (walked=0 hands it a whole budget again.)
     walk = outcomes[0].walk
-    outcomes, winner = race._run_round(HARD_SEMIPRIME, [walk._replace(walked=0), walks[1]])
+    outcomes, winner = _one_round(HARD_SEMIPRIME, [walk._replace(walked=0), walks[1]])
     assert seen == [fork_at, race.SOLO_STEPS]
     assert outcomes[0].iterations == 254 + 56 * 128
     _assert_no_child()
@@ -677,7 +744,7 @@ def test_race_ends_a_walk_whose_lifetime_budget_runs_out_mid_race(monkeypatch):
     assert tired.kind == CANCELLED
     tired_walk = tired.walk._replace(walked=budget - 512)
     winner_walk = rho.start("brent", RhoParams.make(LONG_SEMIPRIME, 1, x0=5))
-    outcomes, winner = race._run_round(LONG_SEMIPRIME, [winner_walk, tired_walk])
+    outcomes, winner = _one_round(LONG_SEMIPRIME, [winner_walk, tired_walk])
     assert winner == 0
     assert outcomes[1] == RhoOutcome(BUDGET_EXHAUSTED, 512)
     assert outcomes[1].walk.walked == budget
@@ -687,7 +754,7 @@ def test_race_ends_a_walk_whose_lifetime_budget_runs_out_mid_race(monkeypatch):
 def test_unforked_worker_keeps_the_walk_it_was_handed():
     walk = brent_attempt(SEMIPRIME, RhoParams.make(SEMIPRIME, 2, x0=5), _CancelAfter(3)).walk
     fresh = rho.start("brent", RhoParams.make(SEMIPRIME, 1, x0=5))
-    outcomes, winner = race._run_round(SEMIPRIME, [fresh, walk])
+    outcomes, winner = _one_round(SEMIPRIME, [fresh, walk])
     assert winner == 0
     assert outcomes[1] == RhoOutcome(CANCELLED, 0)
     assert outcomes[1].walk == walk

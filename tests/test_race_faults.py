@@ -2,8 +2,9 @@
 
 Each short race at 2-3 workers meets one fault at a drawn moment, and each
 must end within RACE_BOUND_S with a proper factor of n or one of the
-documented errors, leaving this process with no child at all.  A summary
-line per fault kind is printed with capture suspended.
+documented errors, leaving this process with no child at all.  A fault
+that needs a crew kept across races meets a factorize call of two races
+instead.  A summary line per fault kind is printed with capture suspended.
 """
 
 import os
@@ -15,11 +16,18 @@ import time
 from collections import Counter
 from contextlib import suppress
 
-from rhorace import race, rho
+from rhorace import factorize, race, rho
 from rhorace.bench import _random_prime_digits
 from rhorace.race import FactorSearchExhausted, RaceConfig, race_factor
 from rhorace.rho import CANCELLED, FACTOR, NO_FACTOR_CYCLE, RhoOutcome
-from test_race import HARD_SEMIPRIME, _assert_no_child, _CountingFork, _deadline, _gone
+from test_race import (
+    HARD_SEMIPRIME,
+    _assert_no_child,
+    _CountingFork,
+    _deadline,
+    _ExitAfterReport,
+    _gone,
+)
 
 SOAK_SEED = 20261019
 RACES_PER_FAULT = 20
@@ -28,6 +36,7 @@ CHILD_GONE_BOUND_S = 1.0  # from a killed caller's reaping to its children's exi
 LOST = r"race worker [12] exited with code -9 without reporting"
 FAILED = r"race worker\(s\) failed: \[\([12], \"ValueError\('planted'\)\"\)\]"
 EXHAUSTED = rf"no factor of \d+ found after {race.MAX_ROUNDS} round\(s\)"
+EXITED = r"race worker [12] exited with code 0 without reporting"
 
 
 class _KillAfterFork(_CountingFork):
@@ -152,13 +161,22 @@ def _every_walk_cycles(monkeypatch, rng, workers, p):
     return FactorSearchExhausted, EXHAUSTED, None
 
 
+def _child_exits_after_report(monkeypatch, rng, workers, p):
+    """A child that exits right after its first report, which only a crew
+    kept for the next race can meet: a factorize call of two races."""
+    _ExitAfterReport(monkeypatch, rng.randrange(1, workers))
+    return RuntimeError, EXITED, None
+
+
 FAULTS = {
     "kill-child": _kill_child,
     "child-raises": _child_raises,
     "worker-0-interrupted": _worker_0_interrupted,
     "stop-while-booting": _stop_while_booting,
     "every-walk-cycles": _every_walk_cycles,
+    "child-exits-after-report": _child_exits_after_report,
 }
+MULTI_RACE = {"child-exits-after-report"}  # faults met by factorize(n * a third prime)
 
 
 def test_race_soak_with_one_fault_per_race(monkeypatch, capsys):
@@ -176,14 +194,20 @@ def test_race_soak_with_one_fault_per_race(monkeypatch, capsys):
             with monkeypatch.context() as patch:
                 patch.setattr(race, "SOLO_STEPS", 0)
                 error, match, killer = FAULTS[kind](patch, rng, workers, p)
+                config = RaceConfig(workers=workers, seed=rng.randrange(2**32))
+                third = _random_prime_digits(rng, 9) if kind in MULTI_RACE else None
                 t0 = time.perf_counter()
                 try:
-                    outcome = race_factor(n, RaceConfig(workers=workers, seed=rng.randrange(2**32)))
+                    if third is None:
+                        outcome = race_factor(n, config)
+                    else:
+                        factorize(n * third, config)
                 except BaseException as exc:
                     if not isinstance(exc, error or ()) or (match and not re.fullmatch(match, str(exc))):
                         raise
                     tally[kind][type(exc).__name__] += 1
                 else:
+                    assert third is None, f"factorize returned despite {kind}"
                     assert kind != "every-walk-cycles", f"a race with no factor returned {outcome}"
                     assert 1 < outcome.factor < n and n % outcome.factor == 0, kind
                     if kind == "stop-while-booting":
@@ -206,13 +230,13 @@ def _caller(workers, announce):
     """A forked copy of this process that races HARD_SEMIPRIME and writes
     its children's pids to the announce pipe; it never returns."""
     try:
-        fork = race._Round.fork
+        fork = race._Crew.fork
 
-        def announced(self):
-            fork(self)
+        def announced(self, children):
+            fork(self, children)
             os.write(announce, f"{' '.join(map(str, self.procs.values()))}\n".encode())
 
-        race._Round.fork = announced
+        race._Crew.fork = announced
         race.SOLO_STEPS = 0
         race_factor(HARD_SEMIPRIME, RaceConfig(workers=workers))
     finally:

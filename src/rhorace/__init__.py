@@ -18,7 +18,6 @@ from .rho import (
     NO_FACTOR_CYCLE,
     RhoOutcome,
     RhoParams,
-    brent_attempt,
     rho_attempt,
 )
 from .race import FactorSearchExhausted, RaceConfig, RaceOutcome, race_factor
@@ -43,7 +42,6 @@ __all__ = [
     "CANCELLED",
     "RhoOutcome",
     "RhoParams",
-    "brent_attempt",
     "rho_attempt",
     "FactorSearchExhausted",
     "RaceConfig",

@@ -14,31 +14,30 @@ worker 0 walks on without a restart.  Every race after that hands the
 children their walks at once, and they walk from its first step.
 
 Each child is a bare os.fork() with two pipes to the caller, and both
-carry lines of text, so no Python object crosses the fork.  The down pipe
-carries each race's walk as one line: the detector's name, then n, c, x0,
-the budget (0 for none), gcd_batch, the walk's lifetime walked and its
-state as decimal ints.  A stop is one "S" line, which the caller sends
-to a child that has not reported when a factor is found; a stop that
-comes after the child's report is consumed before its next walk.  EOF on
-the down pipe means the caller is gone.  The up pipe carries one report
-per walk: the outcome's kind and decimal ints from which the caller
-rebuilds the child's outcome and walk, or "!" and the repr of the child's
-exception.  The child
-first closes every caller end of a pipe that it inherited, so that only
-its caller holds the write end of its down pipe, and it never returns
-into the caller's frames: it leaves through os._exit, with code 0 only
-when its down pipe reads EOF after it has reported every walk it was
-handed.  Every worker polls once per gcd batch: a child selects on its
-down pipe; worker 0 selects on the up pipes of the children that have not
-reported in this race, so it stops for a child's factor or error, or for
-a child whose pipe reads EOF before a whole report, whose exit code
-os.waitpid then gives.  A write to a child's down pipe that fails finds a
-child lost in the same way.  The first factor found stops every child
-that has not reported.  A child that raises, is lost or cannot start
-(os.pipe or os.fork fails) fails the race with RuntimeError.  The
-crew's close, in factorize's finally or at the end of a direct call,
-closes every caller end of the pipes and kills and reaps each child with
-SIGTERM and waitpid, on every way out, so no child outlives the call.
+carry lines of text, so no Python object crosses the fork; _walk_line
+states the layout of a walk's line.  The down pipe carries each race's
+walk as one line, or a stop, one "S" line, which the caller sends to a
+child that has not reported when a factor is found; a stop that comes
+after the child's report is consumed before its next walk.  EOF on the
+down pipe means the caller is gone.  The up pipe carries one report per
+walk, the outcome and the line of the walk it ended in, or "!" and the
+repr of the child's exception.  The child first closes every caller end
+of a pipe that it inherited, so that only its caller holds the write end
+of its down pipe, and it never returns into the caller's frames: it
+leaves through os._exit, with code 0 only when its down pipe reads EOF
+after it has reported every walk it was handed.  Every worker polls once
+per gcd batch: a child selects on its down pipe; worker 0 looks, through
+_Round.wait, the caller's one select, at the up pipes of the children
+that have not reported in this race, so it stops for a child's factor or
+error, or for a child whose pipe reads EOF before a whole report, whose
+exit code os.waitpid then gives.  A write to a child's down pipe that
+fails finds a child lost in the same way.  The first factor found stops
+every child that has not reported.  A child that raises, is lost or
+cannot start (os.pipe or os.fork fails) fails the race with
+RuntimeError.  The crew's close, in factorize's finally or at the end of
+a direct call, closes every caller end of the pipes and kills and reaps
+each child with SIGTERM and waitpid, on every way out, so no child
+outlives the call.
 
 Every worker's start is a rho.Walk.  race_factor can be handed one walk
 per worker to resume (RaceOutcome.walks_over gives them for a cofactor of
@@ -55,9 +54,9 @@ included, carries the walk it ended in.
 With workers=1 the round is worker 0 alone: it forks nothing, its poll
 never stops it, and its outcome is byte-for-byte a direct call of the
 configured detector, which keeps single-worker runs reproducible.  The
-default detector is Brent's (rho.brent_attempt): it finds a factor with
-fewer modular multiplications than Floyd's pairing, which stays available
-as detector="floyd".
+default detector is Brent's: it finds a factor with fewer modular
+multiplications than Floyd's pairing, which stays available as
+detector="floyd".
 """
 
 from __future__ import annotations
@@ -173,22 +172,42 @@ def _constants(n, used):
             yield c
 
 
+def _walk_line(n, walk):
+    """The line, without its newline, that carries walk on n across a pipe.
+
+    It is the detector's name, then n, c, x0, the budget (0 for none),
+    gcd_batch, walk.walked and the detector's state, as decimal ints, all
+    separated by single spaces.  A walk handed down to a child is this
+    line; a child's report up is the outcome's kind, its iterations and
+    its factor (0 for none), then this line of the walk it ended in.
+    _parse_walk reads it back.
+    """
+    params = walk.params
+    ints = (n, params.c, params.x0, params.max_iters or 0, params.gcd_batch, walk.walked, *walk.state)
+    return " ".join(map(str, (walk.detector, *ints)))
+
+
+def _parse_walk(line):
+    """(n, walk) from a _walk_line line."""
+    detector, *ints = line.split()
+    n, c, x0, budget, batch, walked, *state = map(int, ints)
+    return n, Walk(detector, RhoParams(c, x0, budget or None, batch), tuple(state), walked)
+
+
 def _child_main(down, up, callers_ends):
     """A forked worker: walk each walk handed to it until it is done or
     stopped, report it, and _exit once the caller is gone.
 
-    A walk line (see the module docstring) is read from down; the walk
-    selects on down once per batch, and the stop, or EOF, waiting there
-    stops it.  The report written to up is one line: the outcome's kind,
-    then its iterations, factor (0 for none), the walk's lifetime walked
-    and its state as decimal ints; an exception is "!" and its repr
-    instead.  A stop read where a walk would start came after the report
-    and is skipped.  The caller's ends of the pipes made so far, this child's own
-    among them, came along with the fork: closing them leaves the caller
-    the only writer of each down pipe.  The child never returns into the
-    caller's frames: whatever it meets, a BaseException included, it
-    leaves through os._exit, with code 0 only when down reads EOF after
-    every walk handed to it was reported.
+    A walk's line (_walk_line) is read from down; the walk selects on down
+    once per batch, and the stop, or EOF, waiting there stops it.  The
+    report written to up is one line, as _walk_line states, or "!" and
+    the exception's repr.  A stop read where a walk would start came after
+    the report and is skipped.  The caller's ends of the pipes made so
+    far, this child's own among them, came along with the fork: closing
+    them leaves the caller the only writer of each down pipe.  The child
+    never returns into the caller's frames: whatever it meets, a
+    BaseException included, it leaves through os._exit, with code 0 only
+    when down reads EOF after every walk handed to it was reported.
     """
     try:
         for fd in callers_ends:
@@ -211,12 +230,9 @@ def _child_main(down, up, callers_ends):
             if line == "S":
                 continue  # the stop of a walk that had ended before it came
             try:
-                name, *ints = line.split()
-                n, c, x0, budget, batch, walked, *state = map(int, ints)
-                params = RhoParams(c, x0, budget or None, batch)
-                out = rho.resume(n, Walk(rho.DETECTORS[name][0], params, tuple(state), walked), stopped)
-                ints = (out.iterations, out.factor or 0, out.walk.walked, *out.walk.state)
-                report = " ".join(map(str, (out.kind, *ints)))
+                n, walk = _parse_walk(line)
+                out = rho.resume(n, walk, stopped)
+                report = f"{out.kind} {out.iterations} {out.factor or 0} {_walk_line(n, out.walk)}"
             except Exception as exc:  # report instead of hanging the coordinator
                 report = "!" + repr(exc)
             os.write(up, f"{report}\n".encode())
@@ -266,16 +282,9 @@ class _Crew:
                 for fd in childs_ends:
                     os.close(fd)
 
-    def hand(self, i, n, walk):
-        """Send child i its walk on n."""
-        params = walk.params
-        name = next(name for name, (step, _) in rho.DETECTORS.items() if step is walk.step)
-        ints = (n, params.c, params.x0, params.max_iters or 0, params.gcd_batch, walk.walked, *walk.state)
-        self.send(i, " ".join(map(str, (name, *ints))) + "\n")
-
-    def send(self, i, text):
-        """Write text to child i's down pipe; a child gone is a lost child."""
-        data = text.encode()
+    def send(self, i, line):
+        """Write line to child i's down pipe; a child gone is a lost child."""
+        data = f"{line}\n".encode()
         try:
             while data:
                 data = data[os.write(self.downs[i], data) :]
@@ -311,24 +320,23 @@ class _Round:
     steps in this race, the poll only compares the steps rho.resume
     reports.  The poll at the mark, or the first poll once the crew
     exists, hands workers 1..k-1 their walks, forking the crew first if it
-    is not forked yet; with k=1 there is nothing to hand.  From then on the poll is one
-    select over the up pipes of the children that have not reported in
-    this round, skipped while none is open: an up pipe turns readable when
-    its child reports an outcome or an error, or exits without reporting.
-    The first factor, worker 0's or a child's, stops every child that has
-    not reported.  A child's error, or a child lost, raises RuntimeError
-    at once; a lost child is one whose up pipe reads EOF before a whole
-    line, or whose down pipe fails a write, and os.waitpid gives its exit
-    code.  Each worker's outcome starts as RhoOutcome(CANCELLED, 0)
-    carrying the walk it was handed, which is what a worker reports that
-    is never handed it.
+    is not forked yet; with k=1 there is nothing to hand.  From then on
+    the poll is wait(0), one select over the up pipes of the children that
+    have not reported in this round, skipped while none is open: an up
+    pipe turns readable when its child reports an outcome or an error, or
+    exits without reporting.  The first factor, worker 0's or a child's,
+    stops every child that has not reported.  A child's error, or a child
+    lost, raises RuntimeError at once; a lost child is one whose up pipe
+    reads EOF before a whole line, or whose down pipe fails a write, and
+    os.waitpid gives its exit code.  Each worker's outcome starts as
+    RhoOutcome(CANCELLED, 0) carrying the walk it was handed, which is
+    what a worker reports that is never handed it.
     """
 
     def __init__(self, n, walks, crew):
-        self.n = n
-        self.walks = walks
         self.crew = crew
-        self.started = False
+        # The lines of workers 1..k-1's walks, until the poll hands them over.
+        self.to_hand = [_walk_line(n, walk) for walk in walks[1:]]
         self.pipes = {}  # caller's end of an up pipe -> child index, until it reports
         self.results = [RhoOutcome(rho.CANCELLED, 0, walk=walk) for walk in walks]
         self.winner = None
@@ -336,26 +344,25 @@ class _Round:
     def poll(self, steps):
         """Worker 0's poll, before each gcd batch; steps is what it has
         walked in this race so far."""
-        if not self.started:
+        if self.to_hand:
             if steps < SOLO_STEPS and not self.crew.forked:
                 return False
-            self.start()
-        if self.pipes:
-            for fd in select.select(list(self.pipes), [], [], 0)[0]:
-                self.read(fd)
+            if not self.crew.forked:
+                self.crew.fork(len(self.to_hand))
+            for i, line in enumerate(self.to_hand, start=1):
+                self.crew.send(i, line)
+                self.pipes[self.crew.ups[i]] = i
+            self.to_hand = []
+        self.wait(0)
         return self.winner is not None
 
-    def start(self):
-        """Hand workers 1..k-1 their walks, forking the crew if it is not
-        forked yet; a no-op once they are handed."""
-        if self.started:
-            return
-        self.started = True
-        if not self.crew.forked:
-            self.crew.fork(len(self.walks) - 1)
-        for i, walk in enumerate(self.walks[1:], start=1):
-            self.crew.hand(i, self.n, walk)
-            self.pipes[self.crew.ups[i]] = i
+    def wait(self, timeout):
+        """The caller's one select: wait up to timeout seconds (None: with
+        no limit) for a child that has not reported, and read every report
+        that is ready then."""
+        if self.pipes:
+            for fd in select.select(list(self.pipes), [], [], timeout)[0]:
+                self.read(fd)
 
     def report(self, idx, out):
         """Record worker idx's outcome; the first factor stops the rest."""
@@ -363,7 +370,7 @@ class _Round:
         if out.found and self.winner is None:
             self.winner = idx
             for i in self.pipes.values():
-                self.crew.send(i, "S\n")
+                self.crew.send(i, "S")
 
     def read(self, fd):
         """Take the report a readable pipe holds; fail on an error or EOF."""
@@ -375,11 +382,9 @@ class _Round:
         if not line.endswith("\n"):  # EOF first: the child exited without reporting
             self.crew.lost(idx)
         if line.startswith("!"):
-            raise RuntimeError(f"race worker(s) failed: {[(idx, line[1:-1])]}")
-        kind, *ints = line.split()
-        iterations, factor, walked, *state = map(int, ints)
-        walk = Walk(self.walks[idx].step, self.walks[idx].params, tuple(state), walked)
-        self.report(idx, RhoOutcome(kind, iterations, factor or None, walk))
+            raise RuntimeError(f"race worker {idx} failed: {line[1:-1]}")
+        kind, iterations, factor, rest = line.split(" ", 3)
+        self.report(idx, RhoOutcome(kind, int(iterations), int(factor) or None, _parse_walk(rest)[1]))
 
 
 def _run_round(n, walks, crew):
@@ -390,23 +395,23 @@ def _run_round(n, walks, crew):
     first worker whose factor was reported, or None); each outcome's walk
     is where that worker stopped.  Until the crew is forked, a factor
     worker 0 finds within its SOLO_STEPS head start forks nothing, and a
-    failure within it forks the crew then; once the crew exists, the
-    children are handed their walks at worker 0's first poll.  The first
-    factor stops the others at their next batch boundary; a child's factor
-    reaches the caller through worker 0's next poll.  The round returns
-    once every child handed a walk has reported, so the crew is ready for
-    the next round.  A child that raises, or exits without reporting,
-    fails the round with RuntimeError, and so does a failed os.pipe or
-    os.fork; an exception of worker 0 propagates as it is.  Either leaves
-    the crew mid-round: its owner closes it.
+    failure within it forks the crew then, through a poll called as if
+    the mark were reached; once the crew exists, the children are handed
+    their walks at worker 0's first poll.  The first factor stops the
+    others at their next batch boundary; a child's factor reaches the
+    caller through worker 0's next poll.  The round returns once every
+    child handed a walk has reported, so the crew is ready for the next
+    round.  A child that raises, or exits without reporting, fails the
+    round with RuntimeError, and so does a failed os.pipe or os.fork; an
+    exception of worker 0 propagates as it is.  Either leaves the crew
+    mid-round: its owner closes it.
     """
     this_round = _Round(n, walks, crew)
     this_round.report(0, rho.resume(n, walks[0], this_round.poll))
     if this_round.winner is None:
-        this_round.start()
+        this_round.poll(SOLO_STEPS)
     while this_round.pipes:
-        for fd in select.select(list(this_round.pipes), [], [])[0]:
-            this_round.read(fd)
+        this_round.wait(None)
     return this_round.results, this_round.winner
 
 

@@ -17,13 +17,14 @@ Every attempt is a Walk driven by resume, the one driver, which owns the
 budget, the cancel poll, the batch gcd, the replay and the outcome.  A
 detector supplies only a start state and a function that advances its walk
 by up to a given number of steps; start(detector, params) makes the fresh
-Walk, and rho_attempt and brent_attempt resume one.  Every outcome carries
-the Walk it ended in: the detector state, the constants and the steps
-walked over the walk's whole life.  resume continues any Walk, and
-Walk.over reduces one mod a divisor m of its n, as in Knuth's rho
-Algorithm B (TAOCP Vol. 2, 4.5.4, step B3): a walk of x*x + c mod n, read
-mod m, is a walk of x*x + c mod m, so after a split the walk goes on over
-the cofactor instead of starting again.
+Walk, resume drives it, and rho_attempt is resume of a fresh Floyd walk.
+Every outcome carries the Walk it ended in: the detector's name, the
+constants, the detector state and the steps walked over the walk's whole
+life.  resume continues any Walk, and Walk.over reduces one mod a divisor
+m of its n, as in Knuth's rho Algorithm B (TAOCP Vol. 2, 4.5.4, step
+B3): a walk of x*x + c mod n, read mod m, is a walk of x*x + c mod m, so
+after a split the walk goes on over the cofactor instead of starting
+again.
 
 A walk has no iteration budget unless its params set one: it ends on a
 factor, on its cycle or on a cancel.  On a prime p the cycle, with no
@@ -84,10 +85,10 @@ class RhoParams(namedtuple("RhoParams", "c x0 max_iters gcd_batch", defaults=(DE
             raise ValueError("c must not be congruent to 0 or -2 mod n")
 
 
-class Walk(namedtuple("Walk", "step params state walked")):
+class Walk(namedtuple("Walk", "detector params state walked")):
     """Where a walk stopped, ready to resume on its n or on a divisor of it.
 
-    step is the detector's advance factory (_floyd or _brent).  params hold
+    detector is the detector's name, a key of DETECTORS.  params hold
     c and x0 as residues mod the n the walk is on now.  state is the
     detector's state: Floyd's (tort, hare), Brent's (x, y, r, k).  walked
     counts every step of the walk's life, replays included.  A budget
@@ -111,7 +112,7 @@ class Walk(namedtuple("Walk", "step params state walked")):
             return None
         params = self.params._replace(c=c, x0=self.params.x0 % m)
         state = (self.state[0] % m, self.state[1] % m, *self.state[2:])
-        return Walk(self.step, params, state, self.walked)
+        return self._replace(params=params, state=state)
 
 
 class RhoOutcome(namedtuple("RhoOutcome", "kind iterations factor walk", defaults=(None, None))):
@@ -160,6 +161,12 @@ def _floyd(n: int, c: int):
 
 
 def _brent(n: int, c: int):
+    """Brent's walk runs in phases of 2r fast-pointer steps, r doubling each
+    phase: the first r steps are not compared, the last r are compared
+    against x, the value at the phase start.  The slow pointer thus
+    teleports instead of walking, saving a third of the polynomial
+    evaluations.  Its steps count fast-pointer advances."""
+
     def advance(state, cap):
         x, y, r, k = state
         q = 1
@@ -188,8 +195,7 @@ DETECTORS = {"floyd": (_floyd, ()), "brent": (_brent, (1, 0))}
 
 def start(detector: str, params: RhoParams) -> Walk:
     """A fresh walk of the named detector from params.x0, with walked=0."""
-    step, rest = DETECTORS[detector]
-    return Walk(step, params, (params.x0, params.x0, *rest), 0)
+    return Walk(detector, params, (params.x0, params.x0, *DETECTORS[detector][1]), 0)
 
 
 def resume(n: int, walk: Walk, cancel=None) -> RhoOutcome:
@@ -199,13 +205,14 @@ def resume(n: int, walk: Walk, cancel=None) -> RhoOutcome:
     A budget walk.params.max_iters counts the walk.walked steps already
     taken; None walks on until a factor, the cycle or a cancel.  The
     outcome's iterations count only the steps of this call.
-    walk.step(n, c) returns advance, and advance(state, cap) takes at most
-    cap steps from state and returns (state, q, steps, met): q is the
-    product mod n of the differences the detector compared in those steps
-    (1 if it compared none), and met says the two pointers became equal,
-    which ends the walk.  Per batch the driver polls cancel, takes one gcd
-    of q, and when that gcd is n replays the batch from its start state
-    with advance(state, 1) to find the step where a factor first appeared.
+    DETECTORS[walk.detector][0](n, c), looked up once per call, returns
+    advance, and advance(state, cap) takes at most cap steps from state and
+    returns (state, q, steps, met): q is the product mod n of the
+    differences the detector compared in those steps (1 if it compared
+    none), and met says the two pointers became equal, which ends the
+    walk.  Per batch the driver polls cancel, takes one gcd of q, and when
+    that gcd is n replays the batch from its start state with
+    advance(state, 1) to find the step where a factor first appeared.
     The poll is cancel(steps), with the steps walked in this call, and a
     true result stops the walk at that batch boundary; cancel None never
     stops it.
@@ -214,7 +221,7 @@ def resume(n: int, walk: Walk, cancel=None) -> RhoOutcome:
         raise ValueError(f"attempt expects an odd n >= 3, got {n}")
     params = walk.params
     params.validate_for(n)
-    advance = walk.step(n, params.c)
+    advance = DETECTORS[walk.detector][0](n, params.c)
     batch = params.gcd_batch
     budget = math.inf if params.max_iters is None else params.max_iters
     state = walk.state
@@ -261,14 +268,3 @@ def rho_attempt(n: int, params: RhoParams, cancel=None) -> RhoOutcome:
     """
     return resume(n, start("floyd", params), cancel)
 
-
-def brent_attempt(n: int, params: RhoParams, cancel=None) -> RhoOutcome:
-    """Brent-variant attempt: same contract as rho_attempt.
-
-    The walk runs in phases of 2r fast-pointer steps, r doubling each
-    phase: the first r steps are not compared, the last r are compared
-    against x, the value at the phase start.  The slow pointer thus
-    teleports instead of walking, saving a third of the polynomial
-    evaluations.  iterations counts fast-pointer advances.
-    """
-    return resume(n, start("brent", params), cancel)

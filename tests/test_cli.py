@@ -93,13 +93,16 @@ def test_factor_incomplete_exits_one(capsys):
     assert "gave up" in err
 
 
-def test_factor_incomplete_names_every_pending_cofactor(capsys):
+@pytest.mark.parametrize("small, printed_out", [(1, ""), (49, "7^2\n")], ids=["no-small-prime", "7^2"])
+def test_factor_incomplete_names_every_pending_cofactor(capsys, small, printed_out):
     # The budget gives up on the first race's larger part, a product of three
     # primes, while the other part, the prime 1000039, is still untested.
-    n = 1000003 * 1000033 * 1000037 * 1000039
+    # The pre-pass strips 7^2, which factor prints before it gives up.
+    n = small * 1000003 * 1000033 * 1000037 * 1000039
     code = run_cli("factor", str(n), "--workers", "1", "--max-iters", "400", "--gcd-batch", "8")
     captured = capsys.readouterr()
     assert code == 1
+    assert captured.out == printed_out
     (line,) = captured.err.splitlines()
     assert line.startswith("error: gave up on cofactor ")
     head, named = line.split("n = (the primes printed) * ")

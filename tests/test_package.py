@@ -21,7 +21,6 @@ PUBLIC = [
     "RhoOutcome",
     "RhoParams",
     "__version__",
-    "brent_attempt",
     "factorize",
     "is_probable_prime",
     "race_factor",

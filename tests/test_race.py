@@ -27,9 +27,8 @@ from rhorace.rho import (
     NO_FACTOR_CYCLE,
     RhoOutcome,
     RhoParams,
-    brent_attempt,
 )
-from test_rho import _CancelAfter
+from test_rho import _CancelAfter, brent_attempt
 
 SEMIPRIME = 1000003 * 1000033  # both factors just beyond the pre-pass limit
 # 10 x 11 digits: Brent's walk with c=1 takes ~238k steps, far past the mark.
@@ -602,7 +601,7 @@ def test_no_child_outlives_a_killed_caller(sig, src_env):
     [
         (0, False, 0, ValueError, "planted"),
         (0, True, 2, ValueError, "planted"),
-        (1, True, 2, RuntimeError, r"race worker\(s\) failed: \[\(1, "),
+        (1, True, 2, RuntimeError, r"race worker 1 failed: ValueError\('planted'\)$"),
     ],
     ids=["worker-0-at-once", "worker-0-after-the-fork", "child"],
 )
@@ -758,6 +757,23 @@ def test_unforked_worker_keeps_the_walk_it_was_handed():
     assert winner == 0
     assert outcomes[1] == RhoOutcome(CANCELLED, 0)
     assert outcomes[1].walk == walk
+
+
+@pytest.mark.parametrize("max_iters", [None, 5000], ids=["no-budget", "budget"])
+@pytest.mark.parametrize("detector", rho.DETECTORS)
+def test_a_walks_line_reads_back_as_the_walk(detector, max_iters):
+    params = RhoParams.make(SEMIPRIME, 3, x0=11, max_iters=max_iters, gcd_batch=16)
+    fresh = rho.start(detector, params)
+    # 20 batches of 16 end Brent's walk in the compared half of phase r = 64.
+    carried = rho.resume(SEMIPRIME, fresh, _CancelAfter(20)).walk
+    assert carried.walked > 0
+    if detector == "brent":
+        x, y, r, k = carried.state
+        assert r < k < 2 * r
+    for walk in (fresh, carried):
+        line = race._walk_line(SEMIPRIME, walk)
+        assert "\n" not in line
+        assert race._parse_walk(line) == (SEMIPRIME, walk)
 
 
 def test_walks_over_carries_only_walks_that_can_go_on():

@@ -18,11 +18,15 @@ from rhorace.rho import (
     RhoOutcome,
     RhoParams,
     Walk,
-    brent_attempt,
     resume,
     rho_attempt,
     start,
 )
+
+
+def brent_attempt(n, params, cancel=None):
+    """One Brent attempt on n: resume of a fresh Brent walk."""
+    return resume(n, start("brent", params), cancel)
 
 
 def _params(n, c, x0, max_iters=None, gcd_batch=1):
@@ -288,7 +292,7 @@ def test_resumed_walk_spends_only_what_is_left_of_its_budget(attempt):
     params = RhoParams.make(n, c=1, x0=2, max_iters=1000, gcd_batch=16)
     first = attempt(n, params, _CancelAfter(10))
     assert first.kind == CANCELLED
-    out = resume(n, Walk(first.walk.step, params, first.walk.state, 960))
+    out = resume(n, Walk(first.walk.detector, params, first.walk.state, 960))
     assert out == RhoOutcome(BUDGET_EXHAUSTED, 40)
     assert out.walk.walked == 1000
     spent = resume(n, out.walk)
@@ -310,4 +314,4 @@ def test_walk_over_a_divisor_is_the_walk_mod_that_divisor():
     assert direct.state == reduced.state
     # c congruent to 0 or -2 mod m gives a degenerate polynomial there.
     for c in (m, 2 * m - 2):
-        assert Walk(walk.step, RhoParams.make(n, c, 0), walk.state, 0).over(m) is None
+        assert Walk(walk.detector, RhoParams.make(n, c, 0), walk.state, 0).over(m) is None
